@@ -1,23 +1,83 @@
-"""Sectional curvature of invariant metrics.
+"""Sectional curvature of invariant metrics as one operator on Λ²p.
 
 For tangent vectors x, y in p and an invariant metric G the unnormalized
-curvature of the plane they span is assembled from four bracket terms; the
-normal metric G = Id collapses it to the familiar quarter/full split between
-the p- and h-parts of [x, y].  The plane's sectional curvature divides by the
-metric Gram determinant.  Analytic gradients with respect to both plane
-vectors support the descent searches in the witness and certifier modules.
+curvature of the plane they span is a sum of four bracket terms,
+
+    ⟨B⁻(x, y), [x, y]⟩ − ¾ |[x, y]_p|²_G + |B⁺(x, y)|²_{G⁻¹} − ⟨B⁺(x, x), B⁺(y, y)⟩_{G⁻¹},
+
+with B^±(x, y) = ½([x, Gy] ∓ [Gx, y]), the bi-invariant inner product in the
+first term and G or G⁻¹ on the p-parts in the others (G = Id collapses it to
+the familiar quarter/full split between the p- and h-parts of [x, y]).  Each
+term is quadratic in x and in y, so `Curvature` contracts all four once per
+(space, metric) into a 4-tensor, polarises it into an algebraic curvature
+tensor and keeps its restriction to a < b, c < d: the symmetric curvature
+operator M on Λ²p.  Every plane is then the quadratic form wᵀMw with
+w = x ∧ y, the numerator's gradients are (2Ωy, −2Ωx) with Ω the
+antisymmetric matrix of Mw, and sectional curvature divides by the metric
+Gram determinant.  The four-term formula is the operator's constructor, the
+tests' per-plane oracle, and the value of the rare plane so close to flat that
+wᵀMw is within its own rounding noise (see NOISE_BAND).
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .algebra import bracket
+from .metrics import check_symmetric_positive
 from .spaces import HomogeneousSpace
+
+DEPENDENT_TOL = 1e-14   # Gram determinant relative to (xᵀGx)(yᵀGy)
+# wᵀMw carries a rounding error of about dim Λ²p · eps · |M| |w|² however small
+# the value, while each of the four bracket terms vanishes on a flat plane and
+# keeps its relative accuracy there.  Values inside this band of |M| |w|² are
+# recomputed from the bracket terms, so descents onto flat planes converge.
+NOISE_BAND = 1e-8
+
+
+def curvature_operator(space: HomogeneousSpace, metric: np.ndarray,
+                       metric_inv: np.ndarray) -> np.ndarray:
+    """Curvature operator on Λ²p in the basis e_a ∧ e_b, a < b, of p-coordinates.
+
+    Row (a, b) and column (c, d) hold R(e_a, e_b, e_c, e_d) in the convention
+    where the numerator of the plane (x, y) is R(x, y, x, y).
+    """
+    n = space.dim_p
+    p = space.p_basis
+    # [e_a, e_b] and [e_a, G e_b] in ambient coordinates, shape (n, n, dim k)
+    br = np.tensordot(p, np.tensordot(p, space.ambient.structure_constants,
+                                      axes=(1, 1)), axes=(1, 1))
+    br_g = np.einsum("ajk,jb->abk", br, metric)
+    g_br = -br_g.transpose(1, 0, 2)                  # [G e_a, e_b]
+    b_minus = 0.5 * (br_g + g_br)
+    b_plus = 0.5 * (br_g - g_br)
+
+    def rows(t):                                     # (n², dim k)
+        return t.reshape(n * n, -1)
+
+    def p_rows(t):                                   # (n², n), p-part only
+        return rows(t) @ p.T
+
+    # rows x_a y_b, columns x_c y_d
+    mixed = (rows(b_minus) @ rows(br).T
+             - 0.75 * p_rows(br) @ metric @ p_rows(br).T
+             + p_rows(b_plus) @ metric_inv @ p_rows(b_plus).T)
+    # rows x_a x_b, columns y_c y_d
+    split = p_rows(br_g) @ metric_inv @ p_rows(br_g).T
+    # s[a, b, c, d] x_a x_b y_c y_d sums to the numerator
+    s = mixed.reshape(n, n, n, n).transpose(0, 2, 1, 3) - split.reshape(n, n, n, n)
+    s = 0.5 * (s + s.transpose(1, 0, 2, 3))
+    s = 0.5 * (s + s.transpose(0, 1, 3, 2))
+    r = (2.0 / 3.0) * (np.einsum("acdb->abcd", s) - np.einsum("adcb->abcd", s))
+    i, j = np.triu_indices(n, 1)
+    op = r[i, j][:, i, j]
+    return 0.5 * (op + op.T)        # exactly symmetric, as the gradients assume
 
 
 class Curvature:
     """Curvature evaluator for one space and one invariant metric.
 
-    Plane vectors are given in p-coordinates.
+    Plane vectors are given in p-coordinates.  The curvature operator is
+    built on construction; every evaluation after that is a contraction.
     """
 
     def __init__(self, space: HomogeneousSpace, metric: np.ndarray):
@@ -25,43 +85,74 @@ class Curvature:
         if metric.shape != (space.dim_p, space.dim_p):
             raise ValueError(f"metric shape {metric.shape} does not match "
                              f"dim p = {space.dim_p}")
+        check_symmetric_positive(metric)
         self.space = space
         self.gm = metric
         self.gm_inv = np.linalg.inv(metric)
-        self._p = space.p_basis
-        self._c = space.ambient.structure_constants
+        self.operator = curvature_operator(space, metric, self.gm_inv)
+        self._noise_scale = NOISE_BAND * float(np.linalg.norm(self.operator))
+        n = space.dim_p
+        self._i, self._j = np.triu_indices(n, 1)
+        self._ij, self._ji = self._i * n + self._j, self._j * n + self._i
 
-    # ambient-coordinate helpers -------------------------------------------
+    def _wedge(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        i, j = self._i, self._j
+        return x[i] * y[j] - x[j] * y[i]
 
-    def _br(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", a, b, self._c)
+    def _twisted_brackets(self, x: np.ndarray, y: np.ndarray):
+        """[x, Gy] and [Gx, y] in ambient coordinates."""
+        pt, alg = self.space.p_basis.T, self.space.ambient
+        return (bracket(alg, pt @ x, pt @ (self.gm @ y)),
+                bracket(alg, pt @ (self.gm @ x), pt @ y))
 
-    def _g(self, a: np.ndarray) -> np.ndarray:
-        # metric as an ambient operator supported on p
-        return self._p.T @ (self.gm @ (self._p @ a))
+    def _four_term_numerator(self, x: np.ndarray, y: np.ndarray) -> float:
+        p = self.space.p_basis
+        x_gy, gx_y = self._twisted_brackets(x, y)
+        c = bracket(self.space.ambient, p.T @ x, p.T @ y)
+        cp = p @ c
+        b_minus = 0.5 * (x_gy + gx_y)
+        b_plus = p @ (0.5 * (x_gy - gx_y))
+        bxx = p @ self._twisted_brackets(x, x)[0]
+        byy = p @ self._twisted_brackets(y, y)[0]
+        return float(b_minus @ c - 0.75 * cp @ self.gm @ cp
+                     + b_plus @ self.gm_inv @ b_plus - bxx @ self.gm_inv @ byy)
 
-    def _ginv(self, a: np.ndarray) -> np.ndarray:
-        return self._p.T @ (self.gm_inv @ (self._p @ a))
+    def _value(self, w: np.ndarray, mw: np.ndarray, x: np.ndarray,
+               y: np.ndarray) -> float:
+        """wᵀMw, or the four bracket terms where wᵀMw is within rounding noise."""
+        f = float(w @ mw)
+        if abs(f) <= self._noise_scale * (w @ w):
+            return self._four_term_numerator(x, y)
+        return f
+
+    def _gradients(self, mw: np.ndarray, x: np.ndarray, y: np.ndarray):
+        """(2Ωy, −2Ωx) for the antisymmetric Ω whose upper triangle is mw."""
+        n = x.shape[0]
+        omega = np.zeros(n * n)
+        omega[self._ij] = mw
+        omega[self._ji] = -mw
+        omega = omega.reshape(n, n)
+        return 2.0 * (omega @ y), -2.0 * (omega @ x)
+
+    def _gram_terms(self, x: np.ndarray, y: np.ndarray):
+        """Gx, Gy and the Gram entries; raises for a numerically dependent plane."""
+        gx, gy = self.gm @ x, self.gm @ y
+        xx, yy, xy = x @ gx, y @ gy, x @ gy
+        d = float(xx * yy - xy * xy)
+        if d <= DEPENDENT_TOL * xx * yy:
+            raise ValueError("plane vectors are numerically dependent")
+        return gx, gy, xx, yy, xy, d
 
     # public evaluations ----------------------------------------------------
 
     def b_plus(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Symmetric bracket-metric term, unprojected ambient coordinates."""
-        xa, ya = self._p.T @ x, self._p.T @ y
-        return 0.5 * (self._br(xa, self._g(ya)) - self._br(self._g(xa), ya))
+        x_gy, gx_y = self._twisted_brackets(x, y)
+        return 0.5 * (x_gy - gx_y)
 
     def numerator(self, x: np.ndarray, y: np.ndarray) -> float:
-        xa, ya = self._p.T @ x, self._p.T @ y
-        gx, gy = self._g(xa), self._g(ya)
-        c = self._br(xa, ya)
-        bminus = 0.5 * (self._br(xa, gy) + self._br(gx, ya))
-        bplus = 0.5 * (self._br(xa, gy) - self._br(gx, ya))
-        bxx = self._br(xa, gx)
-        byy = self._br(ya, gy)
-        return float(bminus @ c
-                     - 0.75 * c @ self._g(c)
-                     + bplus @ self._ginv(bplus)
-                     - bxx @ self._ginv(byy))
+        w = self._wedge(x, y)
+        return self._value(w, self.operator @ w, x, y)
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> float:
         xx = x @ self.gm @ x
@@ -70,52 +161,24 @@ class Curvature:
         return float(xx * yy - xy * xy)
 
     def sectional(self, x: np.ndarray, y: np.ndarray) -> float:
-        d = self.gram(x, y)
-        if d < 1e-14:
-            raise ValueError("plane vectors are numerically dependent")
+        d = self._gram_terms(x, y)[-1]
         return self.numerator(x, y) / d
 
     def numerator_gradient(self, x: np.ndarray,
                            y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradients of the unnormalized curvature in both plane vectors."""
-        xa, ya = self._p.T @ x, self._p.T @ y
-        gx, gy = self._g(xa), self._g(ya)
-        c = self._br(xa, ya)
-        gc = self._g(c)
-        bminus = 0.5 * (self._br(xa, gy) + self._br(gx, ya))
-        bplus = 0.5 * (self._br(xa, gy) - self._br(gx, ya))
-        u = self._ginv(bplus)
-        wx = self._ginv(self._br(xa, gx))   # inverse metric applied to B+(x, x)
-        wy = self._ginv(self._br(ya, gy))
-
-        grad_x = (0.5 * self._br(gy, c) + 0.5 * self._g(self._br(ya, c))
-                  + self._br(ya, bminus - 1.5 * gc)
-                  + self._br(gy, u) - self._g(self._br(ya, u))
-                  - self._br(gx, wy) + self._g(self._br(xa, wy)))
-        grad_y = (0.5 * self._br(gx, -c) + 0.5 * self._g(self._br(xa, -c))
-                  + self._br(xa, -bminus + 1.5 * gc)
-                  + self._br(gx, u) - self._g(self._br(xa, u))
-                  - self._br(gy, wx) + self._g(self._br(ya, wx)))
-        return self._p @ grad_x, self._p @ grad_y
+        return self._gradients(self.operator @ self._wedge(x, y), x, y)
 
     def sectional_gradient(self, x: np.ndarray, y: np.ndarray):
         """Sectional value plus its gradients in both plane vectors."""
-        d = self.gram(x, y)
-        if d < 1e-14:
-            raise ValueError("plane vectors are numerically dependent")
-        f = self.numerator(x, y)
-        sec = f / d
-        fx, fy = self.numerator_gradient(x, y)
-        gx_m, gy_m = self.gm @ x, self.gm @ y
-        xx, yy, xy = x @ gx_m, y @ gy_m, x @ gy_m
+        gx_m, gy_m, xx, yy, xy, d = self._gram_terms(x, y)
+        w = self._wedge(x, y)
+        mw = self.operator @ w
+        sec = self._value(w, mw, x, y) / d
+        fx, fy = self._gradients(mw, x, y)
         dx = 2 * yy * gx_m - 2 * xy * gy_m
         dy = 2 * xx * gy_m - 2 * xy * gx_m
         return sec, (fx - sec * dx) / d, (fy - sec * dy) / d
-
-
-def curvature_numerator(space: HomogeneousSpace, metric: np.ndarray,
-                        x: np.ndarray, y: np.ndarray) -> float:
-    return Curvature(space, metric).numerator(x, y)
 
 
 def sectional_curvature(space: HomogeneousSpace, metric: np.ndarray,

@@ -70,27 +70,31 @@ def equivariance_residual(space: HomogeneousSpace, metric: np.ndarray) -> float:
     return max(float(np.max(np.abs(metric @ a - a @ metric))) for a in acts)
 
 
+def check_symmetric_positive(metric: np.ndarray) -> tuple[float, np.ndarray]:
+    """Symmetry residual and eigenvalues; raises ValueError unless the matrix
+    is symmetric (to 1e-9) and positive definite."""
+    sym = float(np.max(np.abs(metric - metric.T)))
+    eigs = np.linalg.eigvalsh((metric + metric.T) / 2)
+    if sym > 1e-9:
+        raise ValueError(f"metric is not symmetric (residual {sym:.3e})")
+    if eigs[0] <= 0:
+        raise ValueError(f"metric is not positive definite "
+                         f"(smallest eigenvalue {eigs[0]:.3e})")
+    return sym, eigs
+
+
 def validate_metric(space: HomogeneousSpace, metric: np.ndarray) -> dict:
     """Residual report; raises ValueError if the matrix is not an invariant metric."""
     metric = np.asarray(metric, dtype=float)
     if metric.shape != (space.dim_p, space.dim_p):
         raise ValueError(f"metric shape {metric.shape} does not match "
                          f"dim p = {space.dim_p}")
-    sym = float(np.max(np.abs(metric - metric.T)))
-    eigs = np.linalg.eigvalsh((metric + metric.T) / 2)
+    sym, eigs = check_symmetric_positive(metric)
     equiv = equivariance_residual(space, metric)
     report = {"symmetry": sym, "equivariance": equiv,
               "min_eigenvalue": float(eigs[0]), "max_eigenvalue": float(eigs[-1])}
-    if sym > 1e-9:
-        raise ValueError(f"metric is not symmetric (residual {sym:.3e})")
-    if eigs[0] <= 0:
-        raise ValueError(f"metric is not positive definite "
-                         f"(smallest eigenvalue {eigs[0]:.3e})")
     if equiv > 1e-9:
         raise ValueError(f"metric does not commute with the isotropy action "
                          f"(residual {equiv:.3e})")
     return report
 
-
-def metric_inner(metric: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    return float(x @ metric @ y)

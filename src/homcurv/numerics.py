@@ -110,13 +110,3 @@ def cluster_values(values: np.ndarray, rel_tol: float = 1e-8,
             clusters.append([int(idx)])
     return [np.array(c) for c in clusters]
 
-
-def principal_angle_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest principal angle (radians) between the row spans of a and b."""
-    qa = orthonormalize_rows(a)
-    qb = orthonormalize_rows(b)
-    if qa.shape[0] != qb.shape[0]:
-        return np.pi / 2
-    s = np.linalg.svd(qa @ qb.T, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    return float(np.arccos(np.min(s))) if len(s) else 0.0

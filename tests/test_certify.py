@@ -25,6 +25,16 @@ def test_flat_plane_found_in_flag_normal_metric():
     assert abs(r.min_sectional) <= 1e-9
 
 
+def test_descents_onto_flat_planes_converge():
+    # the gradient reaches grad_tol only if values near the flat plane keep
+    # their relative accuracy
+    for label in ("wallach6", "stiefel"):
+        space = catalog_build(label)
+        r = certify(space, normal_metric(space), starts=8)
+        assert r.verdict == "nonpositive-witness"
+        assert r.converged_starts == 8
+
+
 def test_unequal_scales_restore_positivity():
     space = catalog_build("wallach6")
     g = diagonal_metric(decompose(space), (1.0, 1.0, 0.5))

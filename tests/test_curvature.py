@@ -1,10 +1,85 @@
 """Tests for the sectional curvature evaluator."""
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from homcurv import bracket, catalog_build
+from homcurv import bracket, catalog_build, coords_of
 from homcurv.curvature import Curvature, b_plus, sectional_curvature
 from homcurv.metrics import normal_metric, sample_metric
+from homcurv.spaces import catalog_labels, listing_params
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def four_term_numerator(space, metric, x, y):
+    """Per-plane oracle: the four bracket terms of the curvature numerator."""
+    p, gi = space.p_basis, np.linalg.inv(metric)
+
+    def br(a, b):
+        return bracket(space.ambient, a, b)
+
+    def g(a):                                   # metric as an ambient operator on p
+        return p.T @ (metric @ (p @ a))
+
+    def g_inv(a):
+        return p.T @ (gi @ (p @ a))
+
+    xa, ya = p.T @ x, p.T @ y
+    gx, gy = g(xa), g(ya)
+    c = br(xa, ya)
+    b_minus = 0.5 * (br(xa, gy) + br(gx, ya))
+    b_pl = 0.5 * (br(xa, gy) - br(gx, ya))
+    return float(b_minus @ c - 0.75 * c @ g(c) + b_pl @ g_inv(b_pl)
+                 - br(xa, gx) @ g_inv(br(ya, gy)))
+
+
+@functools.cache
+def _sampled(label):
+    space = catalog_build(label, **listing_params(label))
+    return space, Curvature(space, sample_metric(space, seed=3))
+
+
+def _plane(dim, seed):
+    return np.random.default_rng(seed).standard_normal((2, dim))
+
+
+@pytest.mark.parametrize("label", catalog_labels())
+def test_operator_matches_four_term_oracle(label):
+    space = catalog_build(label, **listing_params(label))
+    rng = np.random.default_rng(404)
+    for metric in (normal_metric(space), sample_metric(space, seed=3)):
+        cv = Curvature(space, metric)
+        for _ in range(10):
+            x, y = rng.standard_normal((2, space.dim_p))
+            ref = four_term_numerator(space, metric, x, y)
+            assert abs(cv.numerator(x, y) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@PROPERTY_SETTINGS
+@given(label=st.sampled_from(catalog_labels()), seed=st.integers(0, 2**32 - 1),
+       a=st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4))
+def test_sectional_ignores_plane_basis(label, seed, a):
+    space, cv = _sampled(label)
+    (p, q), (r, s) = a[:2], a[2:]
+    det = p * s - q * r
+    assume(abs(det) >= 0.1 * max(1.0, max(abs(t) for t in a)) ** 2)
+    x, y = _plane(space.dim_p, seed)
+    ref = cv.sectional(x, y)
+    val = cv.sectional(p * x + q * y, r * x + s * y)
+    assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+@PROPERTY_SETTINGS
+@given(label=st.sampled_from(catalog_labels()), seed=st.integers(0, 2**32 - 1),
+       lam=st.floats(1e-3, 1e3))
+def test_scaling_metric_scales_sectional_inversely(label, seed, lam):
+    space, cv = _sampled(label)
+    scaled = Curvature(space, lam * cv.gm)
+    x, y = _plane(space.dim_p, seed)
+    ref = cv.sectional(x, y) / lam
+    assert abs(scaled.sectional(x, y) - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def test_round_sphere_is_half():
@@ -73,19 +148,37 @@ def test_sectional_depends_only_on_plane():
     assert abs(cv.sectional(y, x) - s) < 1e-9
 
 
-def test_flat_plane_in_flag_normal_metric():
+def _flag_flat_plane(space):
     # circulant rotation and its symmetric partner commute and avoid h
-    space = catalog_build("wallach6")
     perm = np.zeros((3, 3), dtype=complex)
     perm[1, 0] = perm[2, 1] = perm[0, 2] = 1
-    x_amb = perm - perm.T
-    w_amb = 1j * (perm + perm.T)
-    from homcurv import coords_of
-    x = space.p_coords(coords_of(space.ambient, x_amb))
-    w = space.p_coords(coords_of(space.ambient, w_amb))
-    assert np.linalg.norm(space.project_h(coords_of(space.ambient, x_amb))) < 1e-12
+    x_amb = coords_of(space.ambient, perm - perm.T)
+    w_amb = coords_of(space.ambient, 1j * (perm + perm.T))
+    return x_amb, space.p_coords(x_amb), space.p_coords(w_amb)
+
+
+def test_flat_plane_in_flag_normal_metric():
+    space = catalog_build("wallach6")
+    x_amb, x, w = _flag_flat_plane(space)
+    assert np.linalg.norm(space.project_h(x_amb)) < 1e-12
     cv = Curvature(space, normal_metric(space))
     assert abs(cv.sectional(x, w)) < 1e-12
+
+
+def test_values_near_flat_plane_keep_relative_accuracy():
+    # wᵀMw alone has an absolute rounding floor near 1e-16 |M|; planes this
+    # close to flat have numerators near 1e-12 and must not drown in it
+    space = catalog_build("wallach6")
+    _, x, w = _flag_flat_plane(space)
+    rng = np.random.default_rng(31)
+    for metric in (normal_metric(space), np.eye(6) * 2.5):
+        cv = Curvature(space, metric)
+        for _ in range(5):
+            dx, dw = 1e-6 * rng.standard_normal((2, 6))
+            ref = four_term_numerator(space, metric, x + dx, w + dw)
+            assert abs(cv.numerator(x + dx, w + dw) - ref) <= 1e-8 * abs(ref)
+            sec = cv.sectional_gradient(x + dx, w + dw)[0]
+            assert abs(sec * cv.gram(x + dx, w + dw) - ref) <= 1e-8 * abs(ref)
 
 
 def test_gradients_match_finite_differences():
@@ -118,6 +211,30 @@ def test_rejects_degenerate_plane():
     x = np.ones(6)
     with pytest.raises(ValueError):
         cv.sectional(x, 2 * x)
+
+
+def test_tiny_plane_vectors_are_not_degenerate():
+    # the dependence test is relative to |x|_G |y|_G, not an absolute cut-off
+    space = catalog_build("berger7")
+    cv = Curvature(space, normal_metric(space))
+    x, y = _plane(7, 8)
+    sec, sx, sy = cv.sectional_gradient(x, y)
+    tiny = 1e-4
+    assert abs(cv.sectional(tiny * x, tiny * y) - sec) < 1e-12
+    tsec, tx, ty = cv.sectional_gradient(tiny * x, tiny * y)
+    assert abs(tsec - sec) < 1e-12
+    assert np.allclose(tiny * tx, sx, rtol=1e-10, atol=1e-12)
+    assert np.allclose(tiny * ty, sy, rtol=1e-10, atol=1e-12)
+
+
+def test_rejects_invalid_metric():
+    space = catalog_build("berger7")
+    with pytest.raises(ValueError, match="positive definite"):
+        Curvature(space, np.diag([-1.0] + [1.0] * 6))
+    asym = np.eye(7)
+    asym[0, 1] = 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        Curvature(space, asym)
 
 
 def test_rejects_wrong_metric_shape():
