@@ -1,11 +1,20 @@
 """Multistart descent search for nonpositively curved planes.
 
-Each start draws a random 2-frame, orthonormalizes it for the metric, and
-runs gradient descent on the sectional curvature of the spanned plane with a
-Barzilai-Borwein trial step and Armijo backtracking.  Finding a plane at or
-below the zero tolerance is conclusive; exhausting every start above it only
-reports that the search found nothing, which is evidence, not proof, of
-positive curvature.
+Each start draws a random 2-frame and descends the sectional curvature of the
+spanned plane, with a Barzilai-Borwein trial step, Armijo backtracking and a
+G-orthonormalized frame after every accepted step.  All starts descend as one
+batch: every round evaluates the planes of the starts still running in one
+product against the curvature operator, while each start keeps its own step,
+its own backtracking and its own stop.  A start stops as `converged` when its
+gradient falls below grad_tol, as `stalled` when its value has stopped
+decreasing relative to the curvature scale (see STALL_TOL), as `line-search`
+when no step passes the Armijo test, at `max-iters`, or as `failed` when its
+frame degenerates or its values are not finite.
+
+Finding a plane at or below the zero tolerance is conclusive.  Otherwise the
+verdict is `positive` when at least half the starts finished, and
+`inconclusive` when fewer did; `positive` only reports that the search found
+nothing, which is evidence, not proof, of positive curvature.
 """
 from __future__ import annotations
 
@@ -23,6 +32,19 @@ DISCLAIMER = ("a positive verdict means no nonpositively curved plane was "
               "positive curvature")
 
 
+# A start stops as "stalled" after STALL_STEPS consecutive accepted steps that
+# each lower its sectional value by at most STALL_TOL times the larger of |sec|
+# and |M|_F / |G|_2^2; both scale like sectional curvature under G -> λG.  At
+# the minimum the gradient's rounding floor can stay above grad_tol, and such
+# starts would otherwise backtrack to max_iters without moving.
+STALL_TOL = 1e-13
+STALL_STEPS = 3
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 40
+CONVERGED, STALLED, LINE_SEARCH, MAX_ITERS, FAILED = STOP_REASONS = (
+    "converged", "stalled", "line-search", "max-iters", "failed")
+
+
 @dataclass(frozen=True)
 class CertifyReport:
     label: str
@@ -31,7 +53,8 @@ class CertifyReport:
     plane_x: tuple[float, ...]       # p-coordinates of the minimizing frame
     plane_y: tuple[float, ...]
     start_minima: tuple              # per-start final value, None on failure
-    converged_starts: int
+    converged_starts: int            # starts that stopped "converged" or "stalled"
+    stop_reasons: tuple[str, ...]    # per start, one of STOP_REASONS
     starts: int
     max_iters: int
     grad_tol: float
@@ -42,57 +65,117 @@ class CertifyReport:
 
 
 def _g_orthonormalize(gm: np.ndarray, x: np.ndarray, y: np.ndarray):
-    x = x / np.sqrt(x @ gm @ x)
-    y = y - (y @ gm @ x) * x
-    ny = np.sqrt(y @ gm @ y)
-    if ny < 1e-12:
-        raise ValueError("degenerate frame")
-    return x, y / ny
+    """G-orthonormal frames of the rows' planes, and the mask of degenerate rows."""
+    gx = x @ gm.T
+    norm = np.sqrt(np.vecdot(x, gx))[:, None]
+    x, gx = x / norm, gx / norm
+    y = y - np.vecdot(y, gx)[:, None] * x
+    ny = np.sqrt(np.vecdot(y, y @ gm.T))
+    return x, y / np.maximum(ny, 1e-12)[:, None], ny < 1e-12
 
 
-def _descend(cv: Curvature, x: np.ndarray, y: np.ndarray,
-             max_iters: int, grad_tol: float):
-    """Minimize the plane's sectional value; returns (value, x, y, converged)."""
-    gm = cv.gm
-    n = x.shape[0]
-    v = np.concatenate([x, y])
-    sec, gx, gy = cv.sectional_gradient(v[:n], v[n:])
-    grad = np.concatenate([gx, gy])
-    prev_v = prev_grad = None
-    converged = False
-    for _ in range(max_iters):
-        gn = np.linalg.norm(grad)
-        if gn <= grad_tol:
-            converged = True
-            break
-        if prev_v is None:
-            step = 1.0 / max(1.0, gn)
-        else:
-            dv = v - prev_v
-            dg = grad - prev_grad
-            denom = dg @ dg
-            step = abs(dv @ dg) / denom if denom > 1e-300 else 1.0
-            step = min(max(step, 1e-12), 1e6)
-        accepted = False
-        for _bt in range(40):
-            trial = v - step * grad
-            try:
-                trial_sec = cv.sectional(trial[:n], trial[n:])
-            except ValueError:
-                step *= 0.5
-                continue
-            if np.isfinite(trial_sec) and trial_sec <= sec - 1e-4 * step * gn * gn:
-                accepted = True
+def _trial_values(cv: Curvature, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sectional values of the rows' planes, +inf where a plane is degenerate."""
+    try:
+        return cv.sectional(x, y)
+    except ValueError:
+        keep = ~cv.dependent(x, y)
+        vals = np.full(len(x), np.inf)
+        vals[keep] = cv.sectional(x[keep], y[keep])
+        return vals
+
+
+def _line_search(cv: Curvature, v: np.ndarray, grad: np.ndarray,
+                 sec: np.ndarray, gn2: np.ndarray, step: np.ndarray):
+    """Armijo backtracking from every frame at once, each with its own step.
+
+    Returns the accepted trial frames (rows that found no step are unset)
+    and the mask of rows that found one.
+    """
+    n = v.shape[1] // 2
+    trial = np.empty_like(v)
+    accepted = np.zeros(len(v), dtype=bool)
+    rows = np.arange(len(v))
+    for _ in range(MAX_BACKTRACKS):
+        t = v - step[:, None] * grad
+        vals = _trial_values(cv, t[:, :n], t[:, n:])
+        good = np.isfinite(vals) & (vals <= sec - ARMIJO * step * gn2)
+        if good.any():
+            trial[rows[good]] = t[good]
+            accepted[rows[good]] = True
+            if good.all():
                 break
-            step *= 0.5
-        if not accepted:
+            keep = ~good
+            rows, v, grad, sec, gn2, step = (
+                a[keep] for a in (rows, v, grad, sec, gn2, step))
+        step = 0.5 * step
+    return trial, accepted
+
+
+def _descend(cv: Curvature, draws: np.ndarray, max_iters: int, grad_tol: float):
+    """Minimize the sectional value of every start's plane in one batch.
+
+    `draws` holds one start frame per row, x then y.  Each start keeps its
+    own Barzilai-Borwein step, Armijo backtracking and stop rule; every round
+    evaluates all starts still descending together.  Returns the final values,
+    frames and stop reasons, one per row (values of failed rows are unset).
+    """
+    starts, n = len(draws), draws.shape[1] // 2
+    final_sec = np.full(starts, np.nan)
+    final_v = np.zeros_like(draws)
+    reasons = [MAX_ITERS] * starts
+    stall_scale = (float(np.linalg.norm(cv.operator))
+                   / float(np.linalg.eigvalsh(cv.gm)[-1]) ** 2)
+
+    def retire(st, mask, reason):
+        """Record why the masked rows stopped (one reason or one per row); drop them."""
+        rows = st["row"][mask]
+        for r, why in zip(rows, np.broadcast_to(reason, mask.shape)[mask]):
+            reasons[r] = str(why)
+        final_sec[rows], final_v[rows] = st["sec"][mask], st["v"][mask]
+        return {k: a[~mask] for k, a in st.items()}
+
+    st = {"row": np.arange(starts), "v": draws, "grad": np.zeros_like(draws),
+          "sec": np.full(starts, np.inf), "stalls": np.zeros(starts, dtype=int)}
+    trial = draws
+    for it in range(max_iters + 1):
+        # move every start to its G-orthonormalized trial frame
+        x, y, degenerate = _g_orthonormalize(cv.gm, trial[:, :n], trial[:, n:])
+        if degenerate.any():
+            st = retire(st, degenerate, FAILED)
+            x, y = x[~degenerate], y[~degenerate]
+        sec, gx, gy = cv.sectional_gradient(x, y)
+        grad = np.concatenate([gx, gy], axis=1)
+        gn2 = np.vecdot(grad, grad)
+        no_progress = (st["sec"] - sec
+                       <= STALL_TOL * np.maximum(np.abs(sec), stall_scale))
+        stalls = np.where(no_progress, st["stalls"] + 1, 0)
+        st.update(prev_v=st["v"], prev_grad=st["grad"],
+                  v=np.concatenate([x, y], axis=1), sec=sec, grad=grad,
+                  gn2=gn2, stalls=stalls)
+        failed = ~np.isfinite(gn2 + sec)
+        converged = gn2 <= grad_tol * grad_tol
+        done = failed | converged | (stalls >= STALL_STEPS)
+        if done.any():
+            st = retire(st, done, np.where(failed, FAILED, np.where(
+                converged, CONVERGED, STALLED)))
+        if it == max_iters or not st["row"].size:
             break
-        prev_v, prev_grad = v, grad
-        tx, ty = _g_orthonormalize(gm, trial[:n], trial[n:])
-        v = np.concatenate([tx, ty])
-        sec, gx, gy = cv.sectional_gradient(v[:n], v[n:])
-        grad = np.concatenate([gx, gy])
-    return sec, v[:n], v[n:], converged
+        if it == 0:
+            step = 1.0 / np.maximum(1.0, np.sqrt(st["gn2"]))
+        else:
+            dv, dg = st["v"] - st["prev_v"], st["grad"] - st["prev_grad"]
+            denom = np.vecdot(dg, dg)
+            step = np.divide(np.abs(np.vecdot(dv, dg)), denom,
+                             out=np.ones_like(denom), where=denom > 1e-300)
+            step = np.minimum(np.maximum(step, 1e-12), 1e6)
+        trial, accepted = _line_search(cv, st["v"], st["grad"], st["sec"],
+                                       st["gn2"], step)
+        if not accepted.all():
+            st = retire(st, ~accepted, LINE_SEARCH)
+            trial = trial[accepted]
+    retire(st, np.ones(st["row"].size, dtype=bool), MAX_ITERS)
+    return final_sec, final_v, reasons
 
 
 def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
@@ -102,42 +185,34 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
     t0 = time.perf_counter()
     cv = Curvature(space, metric)
     n = space.dim_p
-    finals = []
-    converged_count = 0
-    best = np.inf
-    best_x = best_y = np.zeros(n)
-    for s in range(starts):
-        rng = rng_from(seed, s)
-        try:
-            x, y = _g_orthonormalize(cv.gm, rng.standard_normal(n),
-                                     rng.standard_normal(n))
-            sec, x, y, conv = _descend(cv, x, y, max_iters, grad_tol)
-        except (ValueError, FloatingPointError):
-            finals.append(None)
-            continue
-        if not np.isfinite(sec):
-            finals.append(None)
-            continue
-        finals.append(float(sec))
-        converged_count += conv
-        if sec < best:
-            best, best_x, best_y = sec, x, y
-    succeeded = [f for f in finals if f is not None]
+    draws = np.array([rng_from(seed, s).standard_normal(2 * n)
+                      for s in range(starts)]).reshape(starts, 2 * n)
+    secs, frames, reasons = _descend(cv, draws, max_iters, grad_tol)
+    finals = tuple(None if r == FAILED else float(s)
+                   for s, r in zip(secs, reasons))
+    succeeded = [i for i, r in enumerate(reasons) if r != FAILED]
+    best = np.nan
+    best_v = np.zeros(2 * n)
+    if succeeded:
+        i = min(succeeded, key=lambda k: secs[k])
+        best, best_v = secs[i], frames[i]
     if not succeeded:
         verdict = "inconclusive"
-        best = np.nan
     elif best <= zero_tol:
         verdict = "nonpositive-witness"
+    elif 2 * len(succeeded) < starts:
+        verdict = "inconclusive"       # quorum: half the starts must finish
     else:
         verdict = "positive"
     return CertifyReport(
         label=space.label,
         verdict=verdict,
         min_sectional=float(best),
-        plane_x=tuple(float(c) for c in best_x),
-        plane_y=tuple(float(c) for c in best_y),
-        start_minima=tuple(finals),
-        converged_starts=converged_count,
+        plane_x=tuple(float(c) for c in best_v[:n]),
+        plane_y=tuple(float(c) for c in best_v[n:]),
+        start_minima=finals,
+        converged_starts=sum(r in (CONVERGED, STALLED) for r in reasons),
+        stop_reasons=tuple(reasons),
         starts=starts,
         max_iters=max_iters,
         grad_tol=grad_tol,

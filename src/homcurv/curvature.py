@@ -73,11 +73,21 @@ def curvature_operator(space: HomogeneousSpace, metric: np.ndarray,
     return 0.5 * (op + op.T)        # exactly symmetric, as the gradients assume
 
 
+def _twisted_brackets(space: HomogeneousSpace, metric: np.ndarray,
+                      x: np.ndarray, y: np.ndarray):
+    """[x, Gy] and [Gx, y] in ambient coordinates, for one pair of p-vectors."""
+    pt, alg = space.p_basis.T, space.ambient
+    return (bracket(alg, pt @ x, pt @ (metric @ y)),
+            bracket(alg, pt @ (metric @ x), pt @ y))
+
+
 class Curvature:
     """Curvature evaluator for one space and one invariant metric.
 
-    Plane vectors are given in p-coordinates.  The curvature operator is
-    built on construction; every evaluation after that is a contraction.
+    Plane vectors are given in p-coordinates, as arrays of shape (..., dim p):
+    every evaluation broadcasts over the leading axes, and one plane is a
+    batch with none.  The curvature operator is built on construction; every
+    evaluation after that is a contraction.
     """
 
     def __init__(self, space: HomogeneousSpace, metric: np.ndarray):
@@ -91,94 +101,104 @@ class Curvature:
         self.gm_inv = np.linalg.inv(metric)
         self.operator = curvature_operator(space, metric, self.gm_inv)
         self._noise_scale = NOISE_BAND * float(np.linalg.norm(self.operator))
+        # vec(x ⊗ y) @ W = x ∧ y, and (Mw) @ Wᵀ is vec(Ω) for the antisymmetric
+        # Ω with upper triangle Mw; each entry has one nonzero term, so both
+        # products are exact
         n = space.dim_p
-        self._i, self._j = np.triu_indices(n, 1)
-        self._ij, self._ji = self._i * n + self._j, self._j * n + self._i
+        i, j = np.triu_indices(n, 1)
+        pairs = np.arange(len(i))
+        self._wedge_map = np.zeros((n * n, len(i)))
+        self._wedge_map[i * n + j, pairs] = 1.0
+        self._wedge_map[j * n + i, pairs] = -1.0
 
     def _wedge(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        i, j = self._i, self._j
-        return x[i] * y[j] - x[j] * y[i]
-
-    def _twisted_brackets(self, x: np.ndarray, y: np.ndarray):
-        """[x, Gy] and [Gx, y] in ambient coordinates."""
-        pt, alg = self.space.p_basis.T, self.space.ambient
-        return (bracket(alg, pt @ x, pt @ (self.gm @ y)),
-                bracket(alg, pt @ (self.gm @ x), pt @ y))
+        outer = x[..., :, None] * y[..., None, :]
+        flat = outer.reshape(outer.shape[:-2] + (x.shape[-1] ** 2,))
+        return flat @ self._wedge_map
 
     def _four_term_numerator(self, x: np.ndarray, y: np.ndarray) -> float:
         p = self.space.p_basis
-        x_gy, gx_y = self._twisted_brackets(x, y)
+        x_gy, gx_y = _twisted_brackets(self.space, self.gm, x, y)
         c = bracket(self.space.ambient, p.T @ x, p.T @ y)
         cp = p @ c
         b_minus = 0.5 * (x_gy + gx_y)
         b_plus = p @ (0.5 * (x_gy - gx_y))
-        bxx = p @ self._twisted_brackets(x, x)[0]
-        byy = p @ self._twisted_brackets(y, y)[0]
+        bxx = p @ _twisted_brackets(self.space, self.gm, x, x)[0]
+        byy = p @ _twisted_brackets(self.space, self.gm, y, y)[0]
         return float(b_minus @ c - 0.75 * cp @ self.gm @ cp
                      + b_plus @ self.gm_inv @ b_plus - bxx @ self.gm_inv @ byy)
 
     def _value(self, w: np.ndarray, mw: np.ndarray, x: np.ndarray,
-               y: np.ndarray) -> float:
-        """wᵀMw, or the four bracket terms where wᵀMw is within rounding noise."""
-        f = float(w @ mw)
-        if abs(f) <= self._noise_scale * (w @ w):
-            return self._four_term_numerator(x, y)
-        return f
+               y: np.ndarray):
+        """wᵀMw, or the four bracket terms where that is within rounding noise."""
+        f = np.vecdot(w, mw)
+        flagged = np.abs(f) <= self._noise_scale * np.vecdot(w, w)
+        if not flagged.any():
+            return f
+        f = np.array(f)
+        for idx in map(tuple, np.argwhere(flagged)):
+            f[idx] = self._four_term_numerator(x[idx], y[idx])
+        return f[()]
 
     def _gradients(self, mw: np.ndarray, x: np.ndarray, y: np.ndarray):
         """(2Ωy, −2Ωx) for the antisymmetric Ω whose upper triangle is mw."""
-        n = x.shape[0]
-        omega = np.zeros(n * n)
-        omega[self._ij] = mw
-        omega[self._ji] = -mw
-        omega = omega.reshape(n, n)
-        return 2.0 * (omega @ y), -2.0 * (omega @ x)
+        n = x.shape[-1]
+        omega = (mw @ self._wedge_map.T).reshape(mw.shape[:-1] + (n, n))
+        return (2.0 * (omega @ y[..., None])[..., 0],
+                -2.0 * (omega @ x[..., None])[..., 0])
 
     def _gram_terms(self, x: np.ndarray, y: np.ndarray):
-        """Gx, Gy and the Gram entries; raises for a numerically dependent plane."""
-        gx, gy = self.gm @ x, self.gm @ y
-        xx, yy, xy = x @ gx, y @ gy, x @ gy
-        d = float(xx * yy - xy * xy)
-        if d <= DEPENDENT_TOL * xx * yy:
+        """Gx, Gy, the Gram entries xx, yy, xy and the Gram determinant."""
+        gx, gy = x @ self.gm.T, y @ self.gm.T
+        xx, yy, xy = np.vecdot(x, gx), np.vecdot(y, gy), np.vecdot(x, gy)
+        return gx, gy, xx, yy, xy, xx * yy - xy * xy
+
+    def _independent_gram_terms(self, x: np.ndarray, y: np.ndarray):
+        """`_gram_terms`; raises if any plane is numerically dependent."""
+        terms = self._gram_terms(x, y)
+        _, _, xx, yy, _, d = terms
+        if (d <= DEPENDENT_TOL * xx * yy).any():
             raise ValueError("plane vectors are numerically dependent")
-        return gx, gy, xx, yy, xy, d
+        return terms
 
     # public evaluations ----------------------------------------------------
 
     def b_plus(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Symmetric bracket-metric term, unprojected ambient coordinates."""
-        x_gy, gx_y = self._twisted_brackets(x, y)
-        return 0.5 * (x_gy - gx_y)
+        return b_plus(self.space, self.gm, x, y)
 
-    def numerator(self, x: np.ndarray, y: np.ndarray) -> float:
+    def dependent(self, x: np.ndarray, y: np.ndarray):
+        """True for each plane whose two vectors are numerically dependent."""
+        _, _, xx, yy, _, d = self._gram_terms(x, y)
+        return d <= DEPENDENT_TOL * xx * yy
+
+    def numerator(self, x: np.ndarray, y: np.ndarray):
         w = self._wedge(x, y)
-        return self._value(w, self.operator @ w, x, y)
+        return self._value(w, w @ self.operator, x, y)
 
-    def gram(self, x: np.ndarray, y: np.ndarray) -> float:
-        xx = x @ self.gm @ x
-        yy = y @ self.gm @ y
-        xy = x @ self.gm @ y
-        return float(xx * yy - xy * xy)
+    def gram(self, x: np.ndarray, y: np.ndarray):
+        return self._gram_terms(x, y)[-1]
 
-    def sectional(self, x: np.ndarray, y: np.ndarray) -> float:
-        d = self._gram_terms(x, y)[-1]
+    def sectional(self, x: np.ndarray, y: np.ndarray):
+        """Sectional curvature; raises if any plane is numerically dependent."""
+        d = self._independent_gram_terms(x, y)[-1]
         return self.numerator(x, y) / d
 
     def numerator_gradient(self, x: np.ndarray,
                            y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradients of the unnormalized curvature in both plane vectors."""
-        return self._gradients(self.operator @ self._wedge(x, y), x, y)
+        return self._gradients(self._wedge(x, y) @ self.operator, x, y)
 
     def sectional_gradient(self, x: np.ndarray, y: np.ndarray):
         """Sectional value plus its gradients in both plane vectors."""
-        gx_m, gy_m, xx, yy, xy, d = self._gram_terms(x, y)
+        gx_m, gy_m, xx, yy, xy, d = self._independent_gram_terms(x, y)
         w = self._wedge(x, y)
-        mw = self.operator @ w
+        mw = w @ self.operator
         sec = self._value(w, mw, x, y) / d
         fx, fy = self._gradients(mw, x, y)
-        dx = 2 * yy * gx_m - 2 * xy * gy_m
-        dy = 2 * xx * gy_m - 2 * xy * gx_m
-        return sec, (fx - sec * dx) / d, (fy - sec * dy) / d
+        s2, xx, yy, xy, d = (t[..., None] for t in (2 * sec, xx, yy, xy, d))
+        return (sec, (fx - s2 * (yy * gx_m - xy * gy_m)) / d,
+                (fy - s2 * (xx * gy_m - xy * gx_m)) / d)
 
 
 def sectional_curvature(space: HomogeneousSpace, metric: np.ndarray,
@@ -188,4 +208,9 @@ def sectional_curvature(space: HomogeneousSpace, metric: np.ndarray,
 
 def b_plus(space: HomogeneousSpace, metric: np.ndarray,
            x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return Curvature(space, metric).b_plus(x, y)
+    """B⁺(x, y) = ½([x, Gy] − [Gx, y]) in unprojected ambient coordinates.
+
+    Needs only two brackets, so it builds no curvature operator.
+    """
+    x_gy, gx_y = _twisted_brackets(space, np.asarray(metric, dtype=float), x, y)
+    return 0.5 * (x_gy - gx_y)

@@ -156,34 +156,49 @@ def commuting_witness(space: HomogeneousSpace, metric: np.ndarray,
                         numerator=None, x=None, y=None, message=msg)
 
 
+def _kernel_partner(space: HomogeneousSpace, x: np.ndarray):
+    """Second-smallest singular value of ad_x on p and its right singular vector.
+
+    ad_x always kills x itself, so a second (near-)zero singular value means a
+    commuting partner z in p, returned in p-coordinates.
+    """
+    pt = space.p_basis.T
+    ad = np.einsum("i,ijk->jk", pt @ x, space.ambient.structure_constants).T
+    _, s, vt = np.linalg.svd(ad @ pt)       # columns [x, e_k] in ambient coordinates
+    if len(s) < 2:
+        return np.inf, None
+    return s[-2], vt[-2]
+
+
 def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
                            seed: int = 0, draws: int = 64) -> PlaneWitness:
     """Witness plane built from the smallest metric eigenvalue.
 
     Finds x in the bottom eigenspace and z in p with [x, z] = 0, then checks
-    that the plane (x, G^-1 z) has numerator at most 1e-10.
+    that the plane (x, G^-1 z) has numerator at most 1e-10.  Each basis
+    vector of the eigenspace is tried by the SVD kernel test first; a
+    quasi-Newton multistart over the whole eigenspace runs only when none
+    of them has a partner.
     """
     eig = _metric_eigenspaces(metric)
     lam, bottom = eig[0]
     cv = Curvature(space, metric)
-    pt = space.p_basis.T
-    c3 = space.ambient.structure_constants
 
     x = z = None
     objective = np.inf
-    if bottom.shape[0] == 1:
-        x = bottom[0] / np.linalg.norm(bottom[0])
-        ad = np.einsum("i,ijk->jk", pt @ x, c3).T   # columns [x, e_k] ambient
-        mat = ad @ pt
-        u, s, vt = np.linalg.svd(mat)
-        sigma2 = s[-2] if len(s) >= 2 else np.inf
-        objective = float(sigma2 ** 2)
+    for vec in bottom:
+        vec = vec / np.linalg.norm(vec)
+        sigma2, partner = _kernel_partner(space, vec)
+        objective = min(objective, float(sigma2 ** 2))
         if sigma2 < 1e-8:
-            z = vt[-2]
-        elif sigma2 < REJECT:
+            x, z = vec, partner
+            break
+    if z is None and bottom.shape[0] == 1:
+        if sigma2 < REJECT:
             warnings.warn(f"min-eigenvalue kernel is ambiguous (second "
                           f"singular value {sigma2:.3e})", stacklevel=2)
-    else:
+    elif z is None:
+        objective = np.inf
         full = np.eye(space.dim_p)
         for s_idx in range(draws):
             rng = rng_from(seed, s_idx)

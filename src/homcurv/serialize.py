@@ -204,6 +204,7 @@ def certify_document(r: CertifyReport, provenance: str | None = None) -> dict:
         "plane_y": list(r.plane_y),
         "start_minima": list(r.start_minima),
         "converged_starts": r.converged_starts,
+        "stop_reasons": list(r.stop_reasons),
         "starts": r.starts,
         "max_iters": r.max_iters,
         "grad_tol": r.grad_tol,

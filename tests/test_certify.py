@@ -1,6 +1,8 @@
 """Tests for the multistart positivity search."""
 import numpy as np
+import pytest
 
+import homcurv.certify as certify_mod
 from homcurv import catalog_build
 from homcurv.certify import certify
 from homcurv.curvature import Curvature
@@ -83,3 +85,109 @@ def test_disclaimer_present():
     assert r.verdict == "positive"
     assert abs(r.min_sectional - 0.5) < 1e-8
     assert "not a certificate" in r.disclaimer
+
+
+class _DegenerateDraws:
+    """Stands in for a start's generator: its x and y draws coincide."""
+
+    def __init__(self, seed, start):
+        self.rng = np.random.default_rng([seed, start])
+
+    def standard_normal(self, size):
+        half = self.rng.standard_normal(size // 2)
+        return np.concatenate([half, half])
+
+
+def _degenerate_starts(monkeypatch, which):
+    """Make the starts in `which` draw degenerate frames."""
+    real = certify_mod.rng_from
+    monkeypatch.setattr(certify_mod, "rng_from", lambda seed, s: (
+        _DegenerateDraws(seed, s) if s in which else real(seed, s)))
+
+
+def test_every_stop_reason_is_reachable(monkeypatch):
+    berger7 = catalog_build("berger7")
+    g = normal_metric(berger7)
+    wallach6 = catalog_build("wallach6")
+    # the gradient vanishes on the flat planes of the flag manifold; every
+    # start gets there only if values near them keep their relative accuracy
+    r = certify(wallach6, normal_metric(wallach6), starts=8)
+    assert r.stop_reasons == ("converged",) * 8
+    # at berger7's minimum the gradient keeps a rounding floor above grad_tol
+    assert "stalled" in certify(berger7, g, starts=16).stop_reasons
+    r = certify(berger7, g, starts=4, max_iters=1)
+    assert r.stop_reasons == ("max-iters",) * 4
+    assert r.converged_starts == 0 and r.verdict == "positive"
+
+    _degenerate_starts(monkeypatch, {1})
+    r = certify(berger7, g, starts=4)
+    assert r.stop_reasons[1] == "failed" and r.start_minima[1] is None
+    assert "failed" not in r.stop_reasons[:1] + r.stop_reasons[2:]
+
+    # a trial evaluator that rejects every step fails every line search
+    monkeypatch.setattr(Curvature, "sectional",
+                        lambda self, x, y: np.full(x.shape[:-1], np.inf))
+    r = certify(berger7, g, starts=4)
+    assert r.stop_reasons == ("line-search", "failed", "line-search", "line-search")
+    assert all(np.isfinite(r.start_minima[i]) for i in (0, 2, 3))
+
+
+def test_positive_needs_a_quorum_of_finished_starts(monkeypatch):
+    space = catalog_build("berger7")
+    g = normal_metric(space)
+    _degenerate_starts(monkeypatch, {0, 1})
+    r = certify(space, g, starts=4)
+    assert r.verdict == "positive"
+    assert abs(r.min_sectional - 0.05) < 1e-9
+    _degenerate_starts(monkeypatch, {0, 1, 2})
+    r = certify(space, g, starts=4)
+    assert r.stop_reasons.count("failed") == 3
+    assert r.verdict == "inconclusive"
+    _degenerate_starts(monkeypatch, {0, 1, 2, 3})
+    r = certify(space, g, starts=4)
+    assert r.verdict == "inconclusive" and np.isnan(r.min_sectional)
+
+
+@pytest.mark.parametrize("label,metric", [
+    ("berger7", normal_metric),
+    ("wallach6", lambda s: diagonal_metric(decompose(s), (1.0, 1.0, 0.5))),
+    ("stiefel", lambda s: sample_metric(s, seed=0)),
+])
+@pytest.mark.parametrize("lam", [1e-3, 1e3])
+def test_scaled_metric_scales_the_minimum(label, metric, lam):
+    space = catalog_build(label)
+    g = metric(space)
+    ref = certify(space, g, starts=16)
+    r = certify(space, lam * g, starts=16)
+    assert r.verdict == ref.verdict
+    assert abs(r.min_sectional - ref.min_sectional / lam) <= \
+        1e-9 * abs(ref.min_sectional / lam)
+
+
+def test_positive_search_stays_within_an_evaluation_budget(monkeypatch):
+    # without the stall stop these 64 starts take about 142,000 plane
+    # evaluations, most of them backtracking at the minimum; with it, 1,900
+    rows = {"sectional": 0, "sectional_gradient": 0}
+    for name in rows:
+        method = getattr(Curvature, name)
+
+        def counted(self, x, y, name=name, method=method):
+            rows[name] += len(x)
+            return method(self, x, y)
+
+        monkeypatch.setattr(Curvature, name, counted)
+    space = catalog_build("berger7")
+    r = certify(space, normal_metric(space), starts=64, max_iters=500)
+    assert r.verdict == "positive"
+    assert sum(rows.values()) <= 2500, rows
+
+
+def test_dependent_trial_planes_are_rejected_not_raised():
+    space = catalog_build("berger7")
+    cv = Curvature(space, normal_metric(space))
+    x, y = np.random.default_rng(3).standard_normal((2, 3, 7))
+    y[1] = -2.0 * x[1]
+    vals = certify_mod._trial_values(cv, x, y)
+    assert vals[1] == np.inf
+    assert vals[0] == pytest.approx(cv.sectional(x[0], y[0]), rel=1e-12)
+    assert np.isfinite(vals[2])

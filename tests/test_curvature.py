@@ -3,10 +3,10 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from homcurv import bracket, catalog_build, coords_of
-from homcurv.curvature import Curvature, b_plus, sectional_curvature
+from homcurv.curvature import NOISE_BAND, Curvature, b_plus, sectional_curvature
 from homcurv.metrics import normal_metric, sample_metric
 from homcurv.spaces import catalog_labels, listing_params
 
@@ -163,6 +163,46 @@ def test_flat_plane_in_flag_normal_metric():
     assert np.linalg.norm(space.project_h(x_amb)) < 1e-12
     cv = Curvature(space, normal_metric(space))
     assert abs(cv.sectional(x, w)) < 1e-12
+
+
+@functools.cache
+def _flag_normal():
+    space = catalog_build("wallach6")
+    return space, Curvature(space, normal_metric(space))
+
+
+@PROPERTY_SETTINGS
+@given(label=st.sampled_from(catalog_labels() + ["flag-near-flat"]),
+       seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
+@example(label="flag-near-flat", seed=0, rows=5)
+def test_batch_matches_per_plane(label, seed, rows):
+    rng = np.random.default_rng(seed)
+    if label == "flag-near-flat":
+        # rows 1e-6 from the flag manifold's flat plane, inside the noise
+        # band, mixed with random planes
+        space, cv = _flag_normal()
+        _, x0, w0 = _flag_flat_plane(space)
+        x, y = rng.standard_normal((2, rows, space.dim_p))
+        near = rng.random(rows) < 0.5
+        near[0] = True
+        x[near] = x0 + 1e-6 * rng.standard_normal((near.sum(), space.dim_p))
+        y[near] = w0 + 1e-6 * rng.standard_normal((near.sum(), space.dim_p))
+        wedge2 = (x * x).sum(1) * (y * y).sum(1) - (x * y).sum(1) ** 2
+        band = NOISE_BAND * np.linalg.norm(cv.operator) * wedge2
+        assert np.all(np.abs(cv.numerator(x, y)[near]) <= band[near])
+    else:
+        space, cv = _sampled(label)
+        x, y = rng.standard_normal((2, rows, space.dim_p))
+    sec, gx, gy = cv.sectional_gradient(x, y)
+    assert np.array_equal(cv.sectional(x, y), sec)
+    for k in range(rows):
+        ref, rx, ry = cv.sectional_gradient(x[k], y[k])
+        assert abs(sec[k] - ref) <= 1e-12 * abs(ref)
+        scale = max(1.0, np.max(np.abs(rx)), np.max(np.abs(ry)))
+        assert np.max(np.abs(gx[k] - rx)) <= 1e-12 * scale
+        assert np.max(np.abs(gy[k] - ry)) <= 1e-12 * scale
+        assert cv.numerator(x[k], y[k]) == pytest.approx(
+            cv.numerator(x, y)[k], rel=1e-12, abs=0.0)
 
 
 def test_values_near_flat_plane_keep_relative_accuracy():

@@ -55,6 +55,23 @@ def test_min_eigenvalue_witness_on_stiefel():
         assert np.linalg.norm(c) / np.linalg.norm(z) < 1e-5
 
 
+def test_two_dimensional_bottom_eigenspace_needs_no_search(monkeypatch):
+    # every vector of stiefel's bottom eigenspace has a commuting partner,
+    # which the kernel test on a basis vector finds without the BFGS search
+    import homcurv.obstructions as obs
+    space = catalog_build("stiefel")
+    g = sample_metric(space, seed=3)
+    assert obs._metric_eigenspaces(g)[0][1].shape[0] == 2
+
+    def no_search(*args):
+        raise AssertionError("quasi-Newton search ran")
+
+    monkeypatch.setattr(obs, "_minimize_pair", no_search)
+    w = min_eigenvalue_witness(space, g, seed=3)
+    assert w.found and w.numerator <= 1e-10
+    assert w.objective < 1e-16
+
+
 def test_min_eigenvalue_witness_absent_on_positive_space():
     space = catalog_build("berger7")
     w = min_eigenvalue_witness(space, normal_metric(space), draws=16)

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from homcurv import catalog_build
+from homcurv.certify import STOP_REASONS, certify
+from homcurv.metrics import normal_metric
 from homcurv.serialize import (
     atomic_write_json,
+    certify_document,
     dense_from_triplets,
     jsonable,
     load_json,
@@ -86,3 +89,14 @@ def test_atomic_write_and_load(tmp_path):
     assert load_json(str(path))["kind"] == "test"
     # no stray temporaries left behind
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_certify_document_carries_stop_reasons():
+    space = catalog_build("berger7")
+    r = certify(space, normal_metric(space), starts=6, max_iters=40)
+    doc = through_json(certify_document(r))
+    assert doc["stop_reasons"] == list(r.stop_reasons)
+    assert len(doc["stop_reasons"]) == doc["starts"] == 6
+    assert set(doc["stop_reasons"]) <= set(STOP_REASONS)
+    assert doc["converged_starts"] == sum(
+        why in ("converged", "stalled") for why in doc["stop_reasons"])
