@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    bracket,
     build_algebra,
     centralizer_subalgebra,
     direct_sum,
@@ -26,7 +27,12 @@ from .algebra import (
 from .certify import certify
 from .curvature import Curvature, b_plus
 from .isotypic import decompose
-from .metrics import diagonal_metric, normal_metric, sample_metric
+from .metrics import (
+    diagonal_metric,
+    metric_from_spec,
+    normal_metric,
+    sample_metric,
+)
 from .numerics import rng_from
 from .obstructions import (
     commuting_witness,
@@ -46,10 +52,6 @@ class CriterionResult:
     budget: float | None
 
 
-def _batch_bracket(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ti,tj,ijk->tk", a, b, c)
-
-
 def _check_algebra_invariants() -> tuple[bool, str]:
     """Jacobi < 1e-12 and inner-product invariance < 1e-10, 1000 triples each."""
     algebras = [
@@ -60,16 +62,14 @@ def _check_algebra_invariants() -> tuple[bool, str]:
     ]
     worst_jacobi = worst_inv = 0.0
     for k, alg in enumerate(algebras):
-        c = alg.structure_constants
         rng = rng_from(1, k)
         x, y, z = rng.standard_normal((3, 1000, alg.dim))
-        xy = _batch_bracket(c, x, y)
-        jac = (_batch_bracket(c, x, _batch_bracket(c, y, z))
-               + _batch_bracket(c, y, _batch_bracket(c, z, x))
-               + _batch_bracket(c, z, xy))
+        xy = bracket(alg, x, y)
+        jac = (bracket(alg, x, bracket(alg, y, z))
+               + bracket(alg, y, bracket(alg, z, x))
+               + bracket(alg, z, xy))
         worst_jacobi = max(worst_jacobi, np.linalg.norm(jac, axis=1).max())
-        inv = (np.einsum("tk,tk->t", xy, z)
-               + np.einsum("tk,tk->t", y, _batch_bracket(c, x, z)))
+        inv = np.vecdot(xy, z) + np.vecdot(y, bracket(alg, x, z))
         worst_inv = max(worst_inv, np.abs(inv).max())
     ok = worst_jacobi < 1e-12 and worst_inv < 1e-10
     return ok, f"jacobi {worst_jacobi:.1e}, invariance {worst_inv:.1e}"
@@ -95,16 +95,14 @@ def _check_identity_reduction() -> tuple[bool, str]:
             ("aloffwallach-su3", {"p": 1, "q": 1})]):
         space = catalog_build(label, **params)
         cv = Curvature(space, np.eye(space.dim_p))
-        c = space.ambient.structure_constants
         pb = space.p_basis
-        rng = rng_from(3, k)
-        for _ in range(1000):
-            x, y = rng.standard_normal((2, space.dim_p))
-            amb = np.einsum("i,j,ijk->k", pb.T @ x, pb.T @ y, c)
-            cp2 = float(np.dot(pb @ amb, pb @ amb))
-            ch2 = float(np.dot(amb, amb)) - cp2
-            closed = 0.25 * cp2 + ch2
-            worst = max(worst, abs(cv.numerator(x, y) - closed))
+        # one draw of 1000 pairs yields the numbers of 1000 draws of one pair
+        draws = rng_from(3, k).standard_normal((1000, 2, space.dim_p))
+        x, y = draws[:, 0], draws[:, 1]
+        amb = bracket(space.ambient, x @ pb, y @ pb)
+        cp2 = np.vecdot(amb @ pb.T, amb @ pb.T)
+        closed = 0.25 * cp2 + (np.vecdot(amb, amb) - cp2)
+        worst = max(worst, float(np.max(np.abs(cv.numerator(x, y) - closed))))
     return worst < 1e-10, f"max formula residual {worst:.1e}"
 
 
@@ -259,21 +257,12 @@ AGREEMENT_POOL = (
 )
 
 
-def _pool_metric(space, spec: str) -> np.ndarray:
-    if spec == "normal":
-        return normal_metric(space)
-    if spec.startswith("sample:"):
-        return sample_metric(space, seed=int(spec[7:]))
-    scales = tuple(float(t) for t in spec[5:].split(","))
-    return diagonal_metric(decompose(space), scales)
-
-
 def _check_witness_agreement() -> tuple[bool, str]:
     """Whenever a witness fires, the multistart search concurs."""
     agree = 0
     for label, params, spec in AGREEMENT_POOL:
         space = catalog_build(label, **params)
-        g = _pool_metric(space, spec)
+        g = metric_from_spec(space, spec)
         w = commuting_witness(space, g, seed=0)
         if not w.found:
             w = min_eigenvalue_witness(space, g, seed=0)

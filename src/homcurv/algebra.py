@@ -9,6 +9,9 @@ Conventions used throughout the package:
   coordinate vectors with respect to that basis.
 * Structure constants C[i, j, k] = Q([e_i, e_j], e_k) are totally
   antisymmetric because the basis is orthonormal and Q is Ad-invariant.
+* `bracket` is the one bracket primitive.  It broadcasts over leading axes
+  and costs two matrix products against C flattened to (dim, dim * dim),
+  whatever the batch shape; `ad_operator` is the first of them, transposed.
 
 Families: so(n) real antisymmetric, su(n)/u(n) anti-Hermitian (traceless for
 su), sp(n) realized complexly as u(2n) intersected with the stabilizer of the
@@ -212,13 +215,30 @@ def algebra_from_name(name: str) -> LieAlgebra:
     return alg
 
 
+def _ad_rows(alg: LieAlgebra, x: np.ndarray) -> np.ndarray:
+    """ad_x transposed (row j is [x, e_j]), over the leading axes of x.
+
+    One matrix product of x with the structure constants flattened to
+    (dim, dim * dim).
+    """
+    d = alg.dim
+    x = np.asarray(x, dtype=float)
+    flat = x @ alg.structure_constants.reshape(d, d * d)
+    return flat.reshape(x.shape[:-1] + (d, d))
+
+
 def bracket(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("i,j,ijk->k", x, y, alg.structure_constants)
+    """[x, y] in coordinates; broadcasts over the leading axes of x and y."""
+    y = np.asarray(y, dtype=float)
+    return (y[..., None, :] @ _ad_rows(alg, x))[..., 0, :]
 
 
 def ad_operator(alg: LieAlgebra, x: np.ndarray) -> np.ndarray:
-    """Matrix of ad_x = [x, .] in coordinates: ad @ y == bracket(x, y)."""
-    return np.tensordot(x, alg.structure_constants, axes=(0, 0)).T
+    """Matrix of ad_x = [x, .] in coordinates: ad @ y == bracket(x, y).
+
+    Broadcasts over the leading axes of x, giving a (..., dim, dim) stack.
+    """
+    return np.swapaxes(_ad_rows(alg, x), -1, -2)
 
 
 def matrix_of(alg: LieAlgebra, x: np.ndarray) -> np.ndarray:

@@ -65,13 +65,20 @@ class CertifyReport:
 
 
 def _g_orthonormalize(gm: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """G-orthonormal frames of the rows' planes, and the mask of degenerate rows."""
+    """G-orthonormal frames of the rows' planes, and the mask of degenerate rows.
+
+    A row is degenerate when projecting x out of y leaves at most 1e-12 of
+    the G-norm of y, a test that G -> λG leaves unchanged.
+    """
     gx = x @ gm.T
     norm = np.sqrt(np.vecdot(x, gx))[:, None]
     x, gx = x / norm, gx / norm
-    y = y - np.vecdot(y, gx)[:, None] * x
+    along = np.vecdot(y, gx)
+    y = y - along[:, None] * x
     ny = np.sqrt(np.vecdot(y, y @ gm.T))
-    return x, y / np.maximum(ny, 1e-12)[:, None], ny < 1e-12
+    # |y|_G² = along² + ny², so this compares ny with 1e-12 |y|_G
+    degenerate = ny <= 1e-12 * np.abs(along)
+    return x, y / np.where(degenerate, 1.0, ny)[:, None], degenerate
 
 
 def _trial_values(cv: Curvature, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -27,12 +27,7 @@ from . import __version__
 from .certify import certify
 from .curvature import Curvature
 from .isotypic import decompose
-from .metrics import (
-    diagonal_metric,
-    normal_metric,
-    sample_metric,
-    validate_metric,
-)
+from .metrics import metric_from_spec, sample_metric, validate_metric
 from .numerics import rng_from
 from .obstructions import (
     commuting_witness,
@@ -101,37 +96,22 @@ def _space_from_args(args):
 
 
 def _resolve_metric(space, spec: str, seed: int) -> np.ndarray:
-    if spec == "normal":
-        return normal_metric(space)
-    if spec.startswith("diag:"):
+    if not spec.startswith("file:"):
         try:
-            scales = [float(t) for t in spec[5:].split(",")]
-        except ValueError:
-            raise CliError(f"bad diagonal metric spec {spec!r}")
-        dec = decompose(space, seed=seed)
-        try:
-            return diagonal_metric(dec, scales)
+            return metric_from_spec(space, spec, seed=seed)
         except ValueError as exc:
             raise CliError(str(exc))
-    if spec.startswith("sample:"):
-        try:
-            return sample_metric(space, seed=int(spec[7:]))
-        except ValueError:
-            raise CliError(f"bad sample metric spec {spec!r}")
-    if spec.startswith("file:"):
-        path = spec[5:]
-        try:
-            doc = load_json(path)
-            metric = np.asarray(doc["matrix"], dtype=float)
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read metric from {path}: {exc}")
-        try:
-            validate_metric(space, metric)
-        except ValueError as exc:
-            raise CliError(f"metric in {path} is invalid: {exc}")
-        return metric
-    raise CliError(f"unknown metric spec {spec!r}; use normal, diag:T0,T1,..., "
-                   f"sample:SEED or file:PATH")
+    path = spec[5:]
+    try:
+        doc = load_json(path)
+        metric = np.asarray(doc["matrix"], dtype=float)
+    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read metric from {path}: {exc}")
+    try:
+        validate_metric(space, metric)
+    except ValueError as exc:
+        raise CliError(f"metric in {path} is invalid: {exc}")
+    return metric
 
 
 def _resolve_plane(space, spec: str) -> tuple[np.ndarray, np.ndarray]:

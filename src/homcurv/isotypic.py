@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ad_operator
+from .algebra import ad_operator, bracket
 from .numerics import ClusterError, cluster_values, nullspace, rng_from, symmetric_basis
 from .spaces import HomogeneousSpace, isotropy_actions
 
@@ -95,7 +95,7 @@ def _h_is_abelian(space: HomogeneousSpace) -> bool:
     hb = space.h_basis
     if hb.shape[0] < 2:
         return True
-    br = np.einsum("ai,bj,ijk->abk", hb, hb, space.ambient.structure_constants)
+    br = bracket(space.ambient, hb[:, None], hb[None])
     return float(np.max(np.abs(br))) < 1e-10
 
 

@@ -10,7 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import GroupElement
-from .isotypic import IsotypicDecomposition, symmetric_commutant_basis
+from .isotypic import (
+    IsotypicDecomposition,
+    decompose,
+    symmetric_commutant_basis,
+)
 from .numerics import rng_from
 from .spaces import HomogeneousSpace, isotropy_actions
 
@@ -47,6 +51,30 @@ def sample_metric(space: HomogeneousSpace, seed: int = 0) -> np.ndarray:
     g = np.einsum("c,cij->ij", rng.standard_normal(len(comm)), comm)
     lam = np.linalg.eigvalsh(g)[0]
     return g + (abs(lam) + 0.1) * np.eye(space.dim_p)
+
+
+def metric_from_spec(space: HomogeneousSpace, spec: str,
+                     seed: int = 0) -> np.ndarray:
+    """The metric named by `normal`, `diag:T0,T1,...` or `sample:SEED`.
+
+    Diagonal scales follow the component order of `decompose(space, seed)`.
+    Raises ValueError for a malformed or unknown spec.
+    """
+    if spec == "normal":
+        return normal_metric(space)
+    if spec.startswith("diag:"):
+        try:
+            scales = [float(t) for t in spec[5:].split(",")]
+        except ValueError:
+            raise ValueError(f"bad diagonal metric spec {spec!r}") from None
+        return diagonal_metric(decompose(space, seed=seed), scales)
+    if spec.startswith("sample:"):
+        try:
+            return sample_metric(space, seed=int(spec[7:]))
+        except ValueError:
+            raise ValueError(f"bad sample metric spec {spec!r}") from None
+    raise ValueError(f"unknown metric spec {spec!r}; use normal, "
+                     f"diag:T0,T1,... or sample:SEED")
 
 
 def conjugate_metric(space: HomogeneousSpace, metric: np.ndarray,

@@ -40,11 +40,17 @@ def orthonormalize_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def nullspace(mat: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the kernel, one vector per row."""
+    """Orthonormal basis of the kernel, one vector per row.
+
+    A matrix with at least as many rows as columns takes the thin SVD, which
+    already holds every right singular vector; only a wide matrix needs the
+    full one for the vectors beyond its row count.  The left singular vectors
+    are never used.
+    """
     mat = np.atleast_2d(mat)
     if mat.size == 0:
         return np.eye(mat.shape[1])
-    u, s, vt = np.linalg.svd(mat, full_matrices=True)
+    _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     smax = s[0] if len(s) else 0.0
     cut = rtol * max(smax, 1.0)
     rank = int(np.sum(s > cut))

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .algebra import ad_operator, group_element, quaternion_to_complex, rank
+from .algebra import (
+    ad_operator,
+    bracket,
+    group_element,
+    quaternion_to_complex,
+    rank,
+)
 from .curvature import Curvature
 from .metrics import conjugate_metric
 from .numerics import cluster_values, rng_from
@@ -66,7 +72,7 @@ def _plane_objective(space: HomogeneousSpace, basis_x: np.ndarray,
     The value depends only on the plane spanned by the two vectors, so the
     parameterization has flat directions but no spurious minima.
     """
-    c3 = space.ambient.structure_constants
+    alg = space.ambient
     pt = space.p_basis.T
     pb = space.p_basis
     nx = basis_x.shape[0]
@@ -75,15 +81,16 @@ def _plane_objective(space: HomogeneousSpace, basis_x: np.ndarray,
         x = basis_x.T @ v[:nx]
         y = basis_y.T @ v[nx:]
         xa, ya = pt @ x, pt @ y
-        c = np.einsum("i,j,ijk->k", xa, ya, c3)
+        ad_x = ad_operator(alg, xa)
+        c = ad_x @ ya
         num = c @ c
         xx, yy, xy = x @ x, y @ y, x @ y
         den = xx * yy - xy * xy
         if den < 1e-14:
             return num / 1e-14, np.zeros_like(v)
         f = num / den
-        gx = 2 * (pb @ np.einsum("i,j,ijk->k", ya, c, c3))
-        gy = 2 * (pb @ np.einsum("i,j,ijk->k", c, xa, c3))
+        gx = 2 * (pb @ (ad_operator(alg, ya) @ c))      # [y, [x, y]]
+        gy = -2 * (pb @ (ad_x @ c))                      # [[x, y], x]
         dx = 2 * yy * x - 2 * xy * y
         dy = 2 * xx * y - 2 * xy * x
         return f, np.concatenate([basis_x @ (gx - f * dx),
@@ -163,7 +170,7 @@ def _kernel_partner(space: HomogeneousSpace, x: np.ndarray):
     commuting partner z in p, returned in p-coordinates.
     """
     pt = space.p_basis.T
-    ad = np.einsum("i,ijk->jk", pt @ x, space.ambient.structure_constants).T
+    ad = ad_operator(space.ambient, pt @ x)
     _, s, vt = np.linalg.svd(ad @ pt)       # columns [x, e_k] in ambient coordinates
     if len(s) < 2:
         return np.inf, None
@@ -244,13 +251,12 @@ def _subalgebra_rank(space: HomogeneousSpace, seed: int = 0,
     hb = space.h_basis
     if hb.shape[0] == 0:
         return 0
-    sub = np.einsum("ai,bj,ck,ijk->abc", hb, hb, hb,
-                    space.ambient.structure_constants)
     rng = rng_from(seed)
     best = hb.shape[0]
     for _ in range(draws):
         v = rng.standard_normal(hb.shape[0])
-        ad = np.tensordot(v, sub, axes=(0, 0)).T
+        # row b holds [v, h_b] in h-coordinates: the transpose of ad_v on h
+        ad = bracket(space.ambient, v @ hb, hb) @ hb.T
         s = np.linalg.svd(ad, compute_uv=False)
         best = min(best, int(np.sum(s < 1e-8 * max(1.0, s[0]))))
     return best

@@ -19,6 +19,7 @@ from .algebra import (
     GroupElement,
     LieAlgebra,
     ad_operator,
+    bracket,
     build_algebra,
     coords_of,
     direct_sum,
@@ -106,18 +107,17 @@ def _validate_space(space: HomogeneousSpace) -> None:
     hb, pb = space.h_basis, space.p_basis
     if space.dim_h + space.dim_p != space.ambient.dim:
         raise CatalogError(f"{space.label}: dim h + dim p != dim k")
-    c = space.ambient.structure_constants
+    alg = space.ambient
     if space.dim_h:
         # closure of h: brackets of h-basis vectors stay inside h
-        hb_br = np.einsum("ai,bj,ijk->abk", hb, hb, c)
-        leak = hb_br - np.einsum("abk,ck,cl->abl", hb_br, hb, hb)
+        hb_br = bracket(alg, hb[:, None], hb[None])
+        leak = hb_br - (hb_br @ hb.T) @ hb
         if np.max(np.abs(leak)) > 1e-9:
             raise CatalogError(
                 f"{space.label}: h is not closed under the bracket "
                 f"(leak {np.max(np.abs(leak)):.3e})")
         # invariance of p: [h, p] stays inside p
-        hp = np.einsum("ai,bj,ijk->abk", hb, pb, c)
-        leak_p = np.einsum("abk,ck->abc", hp, hb)
+        leak_p = bracket(alg, hb[:, None], pb[None]) @ hb.T
         if np.max(np.abs(leak_p)) > 1e-9:
             raise CatalogError(
                 f"{space.label}: p is not invariant under h "

@@ -1,6 +1,9 @@
 """Tests for the compact matrix algebra constructions."""
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homcurv import (
     bracket,
@@ -89,6 +92,41 @@ def test_bracket_matches_matrix_commutator():
             lhs = matrix_of(alg, bracket(alg, x, y))
             mx, my = matrix_of(alg, x), matrix_of(alg, y)
             assert np.max(np.abs(lhs - (mx @ my - my @ mx))) < 1e-10
+
+
+@functools.cache
+def _algebra(family, n):
+    return build_algebra(family, n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(algebra=st.sampled_from([("so", 4), ("su", 3), ("sp", 2), ("u", 2),
+                                ("so", 7), ("sp", 3)]),
+       batch=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_bracket_matches_pairs_and_commutators(algebra, batch, seed):
+    alg = _algebra(*algebra)
+    x, y = np.random.default_rng(seed).standard_normal((2, *batch, alg.dim))
+    out = bracket(alg, x, y)
+    assert out.shape == x.shape
+    for idx in np.ndindex(*batch):
+        pair = bracket(alg, x[idx], y[idx])
+        assert np.max(np.abs(out[idx] - pair)) <= 1e-12
+        mx, my = matrix_of(alg, x[idx]), matrix_of(alg, y[idx])
+        assert np.max(np.abs(matrix_of(alg, pair) - (mx @ my - my @ mx))) <= 1e-12
+
+
+def test_bracket_broadcasts_across_batch_axes():
+    alg = build_algebra("su", 3)
+    x, y = np.random.default_rng(5).standard_normal((2, 4, alg.dim))
+    table = bracket(alg, x[:, None], y[None])            # all 16 pairs
+    assert table.shape == (4, 4, alg.dim)
+    for i in range(4):
+        for j in range(4):
+            assert np.allclose(table[i, j], bracket(alg, x[i], y[j]), atol=1e-13)
+    ads = ad_operator(alg, x)
+    assert ads.shape == (4, alg.dim, alg.dim)
+    assert np.allclose(ads[2], ad_operator(alg, x[2]), atol=0)
 
 
 def test_ad_operator_consistent_with_bracket():

@@ -164,6 +164,17 @@ def test_scaled_metric_scales_the_minimum(label, metric, lam):
         1e-9 * abs(ref.min_sectional / lam)
 
 
+def test_tiny_metric_scale_keeps_the_frames():
+    # the degenerate-frame test compares G-norms with each other, so a metric
+    # scaled by 1e-26 (G-norms near 1e-13) still descends to the minimum
+    space = catalog_build("berger7")
+    lam = 1e-26
+    r = certify(space, lam * normal_metric(space), starts=4)
+    assert "failed" not in r.stop_reasons
+    assert r.verdict == "positive"
+    assert abs(r.min_sectional - 0.05 / lam) <= 1e-9 * (0.05 / lam)
+
+
 def test_positive_search_stays_within_an_evaluation_budget(monkeypatch):
     # without the stall stop these 64 starts take about 142,000 plane
     # evaluations, most of them backtracking at the minimum; with it, 1,900

@@ -134,6 +134,16 @@ def test_metric_diag_scale_count_mismatch():
     assert "scale" in stderr_error(proc)
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("sample:two", "bad sample metric spec"),
+    ("file:missing.json", "cannot read metric from missing.json"),
+])
+def test_bad_metric_specs_are_usage_errors(spec, message):
+    proc = run_cli("metric", "wallach6", "--metric", spec)
+    assert proc.returncode == 2
+    assert message in stderr_error(proc)
+
+
 def test_metric_document_has_validation_residuals():
     proc = run_cli("metric", "wallach6", "--metric", "diag:1,1,0.5")
     assert proc.returncode == 0

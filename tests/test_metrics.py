@@ -1,13 +1,17 @@
 """Tests for invariant metric constructors."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homcurv import catalog_build, group_element
+from homcurv.algebra import quaternion_to_complex
+from homcurv.curvature import Curvature
 from homcurv.isotypic import decompose
 from homcurv.metrics import (
     conjugate_metric,
     diagonal_metric,
     equivariance_residual,
+    metric_from_spec,
     normal_metric,
     sample_metric,
     validate_metric,
@@ -107,3 +111,60 @@ def test_conjugate_metric_rejects_non_normalizing():
     g = group_element(space.ambient, rot)
     with pytest.raises(ValueError):
         conjugate_metric(space, normal_metric(space), g)
+
+
+def test_metric_from_spec_matches_the_constructors():
+    space = catalog_build("wallach6")
+    assert np.array_equal(metric_from_spec(space, "normal"), normal_metric(space))
+    assert np.array_equal(metric_from_spec(space, "sample:4"),
+                          sample_metric(space, seed=4))
+    assert np.array_equal(metric_from_spec(space, "diag:1,2,0.5"),
+                          diagonal_metric(decompose(space), (1.0, 2.0, 0.5)))
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("diag:1,x,2", "bad diagonal metric spec"),
+    ("diag:1,2", "one scale per component"),
+    ("diag:1,-2,3", "positive"),
+    ("sample:two", "bad sample metric spec"),
+    ("sample:-1", "bad sample metric spec"),
+    ("file:g.json", "unknown metric spec"),
+    ("round", "unknown metric spec"),
+])
+def test_metric_from_spec_rejects_bad_specs(spec, message):
+    with pytest.raises(ValueError, match=message):
+        metric_from_spec(catalog_build("wallach6"), spec)
+
+
+def _normalizing_elements():
+    """(label, params, matrix) of elements normalizing the isotropy subgroup."""
+    swp = np.array([[0, 1, 0], [1, 0, 0], [0, 0, -1]], dtype=complex)
+    cyc = np.zeros((3, 3), dtype=complex)
+    cyc[1, 0] = cyc[2, 1] = cyc[0, 2] = 1
+    phase = np.exp(0.7j)
+    return [
+        ("wallach6", {}, swp),
+        ("wallach6", {}, cyc),
+        ("sp2circle", {"p": 3, "q": 1},
+         quaternion_to_complex(np.zeros((2, 2)), np.eye(2))),
+        ("sp2circle", {"p": 3, "q": 1},
+         np.diag([phase, phase, phase.conjugate(), phase.conjugate()])),
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.integers(0, 3), metric_seed=st.integers(0, 10_000),
+       plane_seed=st.integers(0, 2**32 - 1))
+def test_pullback_by_a_normalizer_keeps_sectional_curvature(case, metric_seed,
+                                                            plane_seed):
+    # Ad_g is an automorphism preserving h, so with A its action on p the
+    # pulled-back metric A G Aᵀ sees the plane (x, y) as G sees (Aᵀx, Aᵀy)
+    label, params, mat = _normalizing_elements()[case]
+    space = catalog_build(label, **params)
+    g = sample_metric(space, seed=metric_seed)
+    elem = group_element(space.ambient, mat)
+    a = space.p_basis @ elem.ad @ space.p_basis.T
+    x, y = np.random.default_rng(plane_seed).standard_normal((2, space.dim_p))
+    pulled = Curvature(space, conjugate_metric(space, g, elem)).sectional(x, y)
+    ref = Curvature(space, g).sectional(a.T @ x, a.T @ y)
+    assert abs(pulled - ref) <= 1e-10 * abs(ref)
