@@ -128,28 +128,51 @@ def q_inner_matrices(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _orthonormalize_matrices(seeds: list[np.ndarray], msize: int) -> np.ndarray:
+    """Gram-Schmidt (two passes) on the seeds in order, for Q.
+
+    Q(w, u) = -Re sum w_ab u_ba is an exact signed zero when the support of w
+    misses the transposed support of u, and subtracting a zero multiple of u
+    changes no value of w.  So each pass projects w only onto the earlier
+    vectors whose transposed support meets the current support of w, in the
+    same order as the dense loop; the result equals it entry for entry
+    (up to the sign of zero entries).
+    """
     if not seeds:
         return np.zeros((0, msize, msize), dtype=complex)
     out: list[np.ndarray] = []
+    supports = np.zeros((len(seeds), msize * msize), dtype=bool)  # transposed
     for s in seeds:
         w = s.astype(complex)
-        for u in out:
-            w = w - q_inner_matrices(w, u) * u
-        for u in out:
-            w = w - q_inner_matrices(w, u) * u
+        for _ in range(2):
+            start = 0
+            while True:
+                hits = np.flatnonzero(supports[start:len(out)] @ (w != 0).ravel())
+                if hits.size == 0:
+                    break
+                u = out[start + hits[0]]
+                w = w - q_inner_matrices(w, u) * u
+                start += hits[0] + 1
         nrm = np.sqrt(q_inner_matrices(w, w))
         if nrm > 1e-12:
+            supports[len(out)] = (w != 0).T.ravel()
             out.append(w / nrm)
     return np.array(out)
 
 
+def _trace_pairing(basis: np.ndarray) -> np.ndarray:
+    """(m², dim) matrix T with X.ravel() @ T = (tr(X e_k))_k."""
+    d, m = basis.shape[0], basis.shape[-1]
+    return basis.transpose(0, 2, 1).reshape(d, m * m).T
+
+
 def _structure_constants(basis: np.ndarray) -> np.ndarray:
-    d = basis.shape[0]
+    """C[i, j, k] = Q([e_i, e_j], e_k) from the basis matrices."""
+    d, m = basis.shape[0], basis.shape[-1]
     if d == 0:
         return np.zeros((0, 0, 0))
-    prod = np.einsum("iab,jbc->ijac", basis, basis)
+    prod = basis[:, None] @ basis[None]
     comm = prod - prod.transpose(1, 0, 2, 3)
-    c = -np.real(np.einsum("ijab,kba->ijk", comm, basis))
+    c = -np.real(comm.reshape(d * d, m * m) @ _trace_pairing(basis)).reshape(d, d, d)
     c[np.abs(c) < 1e-14] = 0.0
     return c
 
@@ -280,18 +303,15 @@ def group_element(alg: LieAlgebra, mat: np.ndarray) -> GroupElement:
     m = alg.realization.matrix_size
     if mat.shape != (m, m):
         raise ValueError(f"matrix must be {m}x{m} for {alg.name}, got {mat.shape}")
-    inv = np.linalg.inv(mat)
-    cols = []
-    for i in range(alg.dim):
-        conj = mat @ alg.realization.basis_matrices[i] @ inv
-        c = coords_of(alg, conj)
-        resid = np.linalg.norm(conj - matrix_of(alg, c))
-        if resid > 1e-8:
-            raise ValueError(
-                f"conjugation does not preserve {alg.name}: residual {resid:.3e} "
-                f"on basis element {i}")
-        cols.append(c)
-    ad = np.array(cols).T if cols else np.zeros((0, 0))
+    basis = alg.realization.basis_matrices
+    conj = mat @ basis @ np.linalg.inv(mat)
+    ad = -np.real(conj.reshape(alg.dim, m * m) @ _trace_pairing(basis)).T
+    resid = np.linalg.norm(conj - np.tensordot(ad.T, basis, axes=(1, 0)), axis=(1, 2))
+    bad = np.flatnonzero(resid > 1e-8)
+    if bad.size:
+        raise ValueError(
+            f"conjugation does not preserve {alg.name}: residual {resid[bad[0]]:.3e} "
+            f"on basis element {bad[0]}")
     if alg.dim:
         ortho = np.linalg.norm(ad.T @ ad - np.eye(alg.dim))
         if ortho > 1e-8:

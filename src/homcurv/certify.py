@@ -11,7 +11,9 @@ decreasing relative to the curvature scale (see STALL_TOL), as `line-search`
 when no step passes the Armijo test, at `max-iters`, or as `failed` when its
 frame degenerates or its values are not finite.
 
-Finding a plane at or below the zero tolerance is conclusive.  Otherwise the
+Finding a plane at or below the zero threshold is conclusive.  The threshold
+is zero_tol / λ_max(G): it equals zero_tol for the normal metric and, like
+sectional curvature, scales by 1/λ under G -> λG.  Otherwise the
 verdict is `positive` when at least half the starts finished, and
 `inconclusive` when fewer did; `positive` only reports that the search found
 nothing, which is evidence, not proof, of positive curvature.
@@ -59,6 +61,7 @@ class CertifyReport:
     max_iters: int
     grad_tol: float
     zero_tol: float
+    zero_threshold: float            # zero_tol / λ_max(G), what the minimum is compared with
     seed: int
     disclaimer: str
     wall_time: float = field(compare=False, default=0.0)
@@ -131,8 +134,7 @@ def _descend(cv: Curvature, draws: np.ndarray, max_iters: int, grad_tol: float):
     final_sec = np.full(starts, np.nan)
     final_v = np.zeros_like(draws)
     reasons = [MAX_ITERS] * starts
-    stall_scale = (float(np.linalg.norm(cv.operator))
-                   / float(np.linalg.eigvalsh(cv.gm)[-1]) ** 2)
+    stall_scale = float(np.linalg.norm(cv.operator)) / cv.max_eigenvalue ** 2
 
     def retire(st, mask, reason):
         """Record why the masked rows stopped (one reason or one per row); drop them."""
@@ -191,6 +193,7 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
     """Search the plane Grassmannian for nonpositive sectional curvature."""
     t0 = time.perf_counter()
     cv = Curvature(space, metric)
+    zero_threshold = zero_tol / cv.max_eigenvalue
     n = space.dim_p
     draws = np.array([rng_from(seed, s).standard_normal(2 * n)
                       for s in range(starts)]).reshape(starts, 2 * n)
@@ -205,7 +208,7 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
         best, best_v = secs[i], frames[i]
     if not succeeded:
         verdict = "inconclusive"
-    elif best <= zero_tol:
+    elif best <= zero_threshold:
         verdict = "nonpositive-witness"
     elif 2 * len(succeeded) < starts:
         verdict = "inconclusive"       # quorum: half the starts must finish
@@ -224,6 +227,7 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
         max_iters=max_iters,
         grad_tol=grad_tol,
         zero_tol=zero_tol,
+        zero_threshold=zero_threshold,
         seed=seed,
         disclaimer=DISCLAIMER,
         wall_time=time.perf_counter() - t0,

@@ -356,7 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--starts", type=int, default=64)
     s.add_argument("--max-iters", type=int, default=500)
     s.add_argument("--grad-tol", type=float, default=1e-10)
-    s.add_argument("--zero-tol", type=float, default=1e-9)
+    s.add_argument("--zero-tol", type=float, default=1e-9,
+                   help="a plane counts as nonpositive when its sectional "
+                        "curvature is at most ZERO_TOL / (largest metric "
+                        "eigenvalue); the document records this threshold "
+                        "as zero_threshold (default: %(default)s)")
     common(s)
     s.set_defaults(func=_cmd_certify)
 

@@ -95,9 +95,10 @@ class Curvature:
         if metric.shape != (space.dim_p, space.dim_p):
             raise ValueError(f"metric shape {metric.shape} does not match "
                              f"dim p = {space.dim_p}")
-        check_symmetric_positive(metric)
+        _, eigs = check_symmetric_positive(metric)
         self.space = space
         self.gm = metric
+        self.max_eigenvalue = float(eigs[-1])
         self.gm_inv = np.linalg.inv(metric)
         self.operator = curvature_operator(space, metric, self.gm_inv)
         self._noise_scale = NOISE_BAND * float(np.linalg.norm(self.operator))

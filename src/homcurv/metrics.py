@@ -120,7 +120,8 @@ def validate_metric(space: HomogeneousSpace, metric: np.ndarray) -> dict:
     sym, eigs = check_symmetric_positive(metric)
     equiv = equivariance_residual(space, metric)
     report = {"symmetry": sym, "equivariance": equiv,
-              "min_eigenvalue": float(eigs[0]), "max_eigenvalue": float(eigs[-1])}
+              "min_eigenvalue": float(eigs[0]), "max_eigenvalue": float(eigs[-1]),
+              "condition_number": float(eigs[-1] / eigs[0])}
     if equiv > 1e-9:
         raise ValueError(f"metric does not commute with the isotropy action "
                          f"(residual {equiv:.3e})")

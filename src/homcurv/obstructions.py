@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .algebra import (
     ad_operator,
@@ -97,6 +96,16 @@ def _plane_objective(space: HomogeneousSpace, basis_x: np.ndarray,
                                   basis_y @ (gy - f * dy)]) / den
 
     return fun
+
+
+def minimize(fun, x0, **kwargs):
+    """`scipy.optimize.minimize`, with scipy.optimize imported on the first call.
+
+    Importing it costs most of the package's import time, and only the
+    quasi-Newton witness searches use it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _minimize_pair(space, basis_x, basis_y, v0):

@@ -209,6 +209,7 @@ def certify_document(r: CertifyReport, provenance: str | None = None) -> dict:
         "max_iters": r.max_iters,
         "grad_tol": r.grad_tol,
         "zero_tol": r.zero_tol,
+        "zero_threshold": r.zero_threshold,
         "seed": r.seed,
         "disclaimer": r.disclaimer,
         "wall_time": r.wall_time,

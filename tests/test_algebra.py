@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homcurv.algebra as algebra_mod
+
 from homcurv import (
     bracket,
     ad_operator,
@@ -205,3 +207,68 @@ def test_group_element_rejects_bad_matrix():
     alg = build_algebra("su", 3)
     with pytest.raises(ValueError):
         group_element(alg, np.diag([2.0, 1.0, 1.0]).astype(complex))
+
+
+# The dense Gram-Schmidt and einsum structure constants that built every
+# algebra before the sparse versions; space documents reload only if the
+# bases and structure constants stay equal to what these produce.
+
+def _dense_orthonormalize(seeds, msize):
+    out = []
+    for s in seeds:
+        w = s.astype(complex)
+        for _ in range(2):
+            for u in out:
+                w = w - float(-np.real(np.trace(w @ u))) * u
+        nrm = np.sqrt(float(-np.real(np.trace(w @ w))))
+        if nrm > 1e-12:
+            out.append(w / nrm)
+    return np.array(out)
+
+
+def _einsum_structure_constants(basis):
+    prod = np.einsum("iab,jbc->ijac", basis, basis)
+    comm = prod - prod.transpose(1, 0, 2, 3)
+    c = -np.real(np.einsum("ijab,kba->ijk", comm, basis))
+    c[np.abs(c) < 1e-14] = 0.0
+    return c
+
+
+FAMILY_GRID = ([("so", n) for n in range(2, 10)] + [("su", n) for n in range(2, 8)]
+               + [("u", n) for n in range(1, 6)] + [("sp", n) for n in range(1, 5)])
+
+
+@pytest.mark.parametrize("family,n", FAMILY_GRID)
+def test_sparse_gram_schmidt_matches_dense_loop(family, n):
+    seed_fn, msize_fn, _ = algebra_mod._FAMILIES[family]
+    alg = build_algebra(family, n)
+    basis = _dense_orthonormalize(seed_fn(n), msize_fn(n))
+    # equal entry for entry; only the sign of some zero entries may differ
+    assert np.array_equal(alg.realization.basis_matrices, basis)
+    assert np.array_equal(alg.structure_constants, _einsum_structure_constants(basis))
+
+
+def _loop_ad(alg, mat):
+    inv = np.linalg.inv(mat)
+    return np.array([coords_of(alg, mat @ b @ inv)
+                     for b in alg.realization.basis_matrices]).T
+
+
+@pytest.mark.parametrize("family,n", [("so", 5), ("su", 4), ("u", 3), ("sp", 2)])
+def test_group_element_matches_loop_over_basis(family, n):
+    alg = build_algebra(family, n)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(alg.dim)
+    # exp of an algebra element, through its eigendecomposition
+    vals, vecs = np.linalg.eig(matrix_of(alg, x))
+    mat = vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs)
+    g = group_element(alg, mat)
+    assert np.max(np.abs(g.ad - _loop_ad(alg, mat))) < 1e-12
+
+
+def test_group_element_names_first_bad_basis_element():
+    alg = build_algebra("su", 3)
+    # conjugating by diag(1, 2, 1) scales the (0, 1) entries apart; the first
+    # seed touching them is the third basis element
+    with pytest.raises(ValueError, match="on basis element 2$"):
+        group_element(alg, np.diag([1.0, 2.0, 1.0]).astype(complex))

@@ -164,6 +164,29 @@ def test_scaled_metric_scales_the_minimum(label, metric, lam):
         1e-9 * abs(ref.min_sectional / lam)
 
 
+@pytest.mark.parametrize("label,lam,verdict", [
+    ("berger7", 1e8, "positive"),       # minimum 5e-10, below an absolute 1e-9
+    ("berger7", 1e-8, "positive"),
+    ("wallach6", 1e8, "nonpositive-witness"),
+    ("wallach6", 1e-8, "nonpositive-witness"),
+])
+def test_zero_threshold_scales_with_the_metric(label, lam, verdict):
+    space = catalog_build(label)
+    r = certify(space, lam * normal_metric(space), starts=8)
+    assert r.zero_threshold == pytest.approx(1e-9 / lam, rel=1e-12)
+    assert r.verdict == verdict
+
+
+def test_zero_threshold_reads_the_largest_metric_eigenvalue():
+    # berger7 at 0.5 * normal has minimum 0.1; the threshold is 0.06 / 0.5
+    space = catalog_build("berger7")
+    g = 0.5 * normal_metric(space)
+    r = certify(space, g, starts=8, zero_tol=0.06)
+    assert r.zero_tol == 0.06 and r.zero_threshold == pytest.approx(0.12)
+    assert r.verdict == "nonpositive-witness"
+    assert certify(space, g, starts=8, zero_tol=0.04).verdict == "positive"
+
+
 def test_tiny_metric_scale_keeps_the_frames():
     # the degenerate-frame test compares G-norms with each other, so a metric
     # scaled by 1e-26 (G-norms near 1e-13) still descends to the minimum

@@ -152,6 +152,7 @@ def test_metric_document_has_validation_residuals():
     mat = doc["matrix"]
     assert len(mat) == 6 and len(mat[0]) == 6
     assert doc["residuals"]["equivariance"] < 1e-9
+    assert doc["residuals"]["condition_number"] == pytest.approx(2.0)
 
 
 def test_curvature_on_random_plane():

@@ -53,6 +53,16 @@ def test_sample_metric_seeded():
     assert np.linalg.eigvalsh(g1)[0] >= 0.1 - 1e-12
 
 
+def test_validate_metric_reports_the_condition_number():
+    space = catalog_build("wallach6")
+    dec = decompose(space)
+    report = validate_metric(space, diagonal_metric(dec, [1.0, 4.0, 0.5]))
+    assert report["min_eigenvalue"] == pytest.approx(0.5)
+    assert report["max_eigenvalue"] == pytest.approx(4.0)
+    assert report["condition_number"] == pytest.approx(8.0)
+    assert validate_metric(space, normal_metric(space))["condition_number"] == 1.0
+
+
 def test_sample_metric_spans_cone():
     # 50 seeded draws all valid, across two spaces
     for label, kw in [("stiefel", {}), ("s3s3circle", {"p": 2, "q": 1})]:

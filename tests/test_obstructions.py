@@ -1,4 +1,10 @@
 """Tests for the obstruction witnesses."""
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -140,3 +146,27 @@ def test_symmetrize_rejects_other_spaces():
     space = catalog_build("sp2circle", p=5, q=3)
     with pytest.raises(ValueError):
         symmetrize_sp2_31(space, normal_metric(space))
+
+
+LAZY_SCIPY = textwrap.dedent("""
+    import sys
+    import homcurv.cli, homcurv.acceptance
+    assert "scipy.optimize" not in sys.modules, "loaded on import"
+    from homcurv import catalog_build
+    from homcurv.metrics import sample_metric
+    from homcurv.obstructions import commuting_witness
+    space = catalog_build("s3s3circle", p=2, q=1)
+    w = commuting_witness(space, sample_metric(space, seed=0))
+    assert w.found and w.objective < 1e-9, w.message
+    assert "scipy.optimize" in sys.modules
+""")
+
+
+def test_scipy_optimize_loads_on_the_first_search_only():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,5 +1,6 @@
 """Document serialization and bit-exact round-trips."""
 import json
+import os
 
 import numpy as np
 import pytest
@@ -100,3 +101,36 @@ def test_certify_document_carries_stop_reasons():
     assert set(doc["stop_reasons"]) <= set(STOP_REASONS)
     assert doc["converged_starts"] == sum(
         why in ("converged", "stalled") for why in doc["stop_reasons"])
+
+
+def test_certify_document_records_the_zero_threshold():
+    space = catalog_build("berger7")
+    r = certify(space, 4.0 * normal_metric(space), starts=2, max_iters=20)
+    doc = through_json(certify_document(r))
+    assert doc["zero_tol"] == 1e-9
+    assert doc["zero_threshold"] == r.zero_threshold == pytest.approx(2.5e-10)
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("name,label,params", [
+    ("wallach6", "wallach6", {}),
+    ("sp2circle-3-1", "sp2circle", {"p": 3, "q": 1}),
+    ("w11", "w11", {}),
+])
+def test_stored_full_documents_still_reload(name, label, params):
+    # written by `homcurv build --full` before the sparse Gram-Schmidt; the
+    # reload rebuilds the ambient algebra and requires its structure
+    # constants to equal the stored ones exactly
+    doc = load_json(os.path.join(DATA, f"{name}.json"))
+    back = space_from_document(doc)
+    fresh = catalog_build(label, **params)
+    assert np.array_equal(back.ambient.structure_constants,
+                          fresh.ambient.structure_constants)
+    assert np.array_equal(back.ambient.realization.basis_matrices,
+                          fresh.ambient.realization.basis_matrices)
+    # the isotropy bases come from an SVD, whose last bits may depend on the
+    # LAPACK build
+    assert np.max(np.abs(back.h_basis - fresh.h_basis)) < 1e-13
+    assert np.max(np.abs(back.p_basis - fresh.p_basis)) < 1e-13
