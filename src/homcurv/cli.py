@@ -17,6 +17,7 @@ default, and an explicit --seed overrides both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -292,7 +293,14 @@ def _cmd_suite(args, seed: int) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Building it costs a few milliseconds.  Reuse saves that on every later
+    in-process `main` call (tests, benchmarks, the suite) but nothing for a
+    process that runs one command.  Parsing leaves the parser unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="homcurv",
         description="invariant metrics and sectional curvature on compact "
@@ -373,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         seed = _resolve_seed(getattr(args, "seed", None))
         print(f"homcurv {__version__} seed={seed}", file=sys.stderr)

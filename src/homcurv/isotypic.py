@@ -70,12 +70,10 @@ def symmetric_commutant_basis(space: HomogeneousSpace) -> np.ndarray:
     acts = isotropy_actions(space)
     if not acts:
         return sym
-    rows = []
-    for a in acts:
-        # commutator of a with each symmetric basis element, flattened
-        rows.append((np.einsum("ij,kjl->kil", a, sym)
-                     - np.einsum("kij,jl->kil", sym, a)).reshape(len(sym), -1))
-    mat = np.hstack(rows)                    # (n_sym, n*n*n_acts)
+    # commutator of every action with every symmetric basis element,
+    # flattened to one row per basis element: (n_sym, n_acts*n*n)
+    a = np.array(acts)[:, None]
+    mat = (a @ sym - sym @ a).swapaxes(0, 1).reshape(len(sym), -1)
     coeffs = nullspace(mat.T)                # rows: coefficient vectors
     return np.einsum("ck,kij->cij", coeffs, sym)
 

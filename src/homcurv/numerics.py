@@ -47,14 +47,24 @@ def nullspace(mat: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     full one for the vectors beyond its row count.  The left singular vectors
     are never used.
     """
+    return kernel_and_gap(mat, rtol)[0]
+
+
+def kernel_and_gap(mat: np.ndarray,
+                   rtol: float = 1e-10) -> tuple[np.ndarray, float]:
+    """`nullspace` plus the smallest singular value kept out of the kernel.
+
+    The gap bounds |mat @ v| / |v| from below for every v orthogonal to the
+    kernel; it is inf when the kernel is the whole space.
+    """
     mat = np.atleast_2d(mat)
     if mat.size == 0:
-        return np.eye(mat.shape[1])
+        return np.eye(mat.shape[1]), np.inf
     _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     smax = s[0] if len(s) else 0.0
     cut = rtol * max(smax, 1.0)
     rank = int(np.sum(s > cut))
-    return vt[rank:]
+    return vt[rank:], (float(s[rank - 1]) if rank else np.inf)
 
 
 def kernel_dimension(mat: np.ndarray, rtol: float = 1e-8) -> int:

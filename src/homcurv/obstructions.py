@@ -1,7 +1,9 @@
 """Obstruction witnesses against positively curved invariant metrics.
 
 Three mechanisms are implemented.  A pair of commuting metric eigenvectors
-spans a plane whose curvature numerator vanishes identically.  An eigenvector
+spans a plane whose curvature numerator vanishes identically.  The bracket is
+linear in x∧y, so on small eigenspace blocks the pair is found, or proved
+absent, by linear algebra; larger blocks are searched.  An eigenvector
 for the smallest metric eigenvalue together with any commuting partner z in p
 yields the plane (x, G^-1 z) with nonpositive numerator.  Finally the parity
 check compares the ambient and isotropy ranks: a difference outside {0, 1}
@@ -28,12 +30,18 @@ from .algebra import (
 )
 from .curvature import Curvature
 from .metrics import conjugate_metric
-from .numerics import cluster_values, rng_from
+from .numerics import cluster_values, kernel_and_gap, rng_from
 from .spaces import HomogeneousSpace
 
 ACCEPT = 1e-9       # objective below this certifies a commuting pair
 REJECT = 1e-6       # objective above this means no pair at these starts
 NONPOS_TOL = 1e-10  # numerator bound for the min-eigenvalue plane
+
+# The quadratic forms whose zeros are the rank-one 2 x 2 coefficient blocks
+# (det, on row-major entries) and the decomposable elements of Λ²R⁴
+# (Pfaffian, on the entries s < t in triu order).  Both have eigenvalues ±1/2.
+_DET_2X2 = 0.5 * np.fliplr(np.diag([1.0, -1.0, -1.0, 1.0]))
+_PFAFFIAN_4 = 0.5 * np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,7 @@ class PlaneWitness:
     x: np.ndarray | None         # p-coordinates, unit length
     y: np.ndarray | None
     message: str
+    decided: str                 # "exact" (linear algebra only) | "search" (BFGS ran)
 
 
 @dataclass(frozen=True)
@@ -126,13 +135,84 @@ def _metric_eigenspaces(metric: np.ndarray):
     return spaces
 
 
+def _pair_coefficients(w: np.ndarray, dx: int, dy: int | None) -> np.ndarray:
+    """Coefficients (a, b), concatenated, of the plane of a rank-one dx x dy
+    kernel element w, or of a decomposable w in Λ²R^dx when dy is None."""
+    if dy is None:
+        omega = np.zeros((dx, dx))
+        omega[np.triu_indices(dx, 1)] = w
+        u, _, _ = np.linalg.svd(omega - omega.T)
+        return np.concatenate([u[:, 0], u[:, 1]])
+    u, _, vt = np.linalg.svd(w.reshape(dx, dy))
+    return np.concatenate([u[:, 0], vt[0]])
+
+
+def _decide_block(block: np.ndarray, form: np.ndarray | None):
+    """Decide one small eigenspace block by linear algebra.
+
+    `block` maps coefficient vectors to brackets; a commuting pair is a
+    rank-one (decomposable) element of its kernel, that is a zero of `form`
+    on the kernel, or any nonzero kernel element when `form` is None.
+    Returns (w, None) with w such an element (or, when the form is nearly
+    singular, the kernel element closest to one; the caller re-checks its
+    plane), (None, bound) when `bound`, a lower bound on the block's plane
+    objective, is at least REJECT, and (None, None) when the block needs the
+    search.
+    """
+    kernel, gap = kernel_and_gap(block)
+    if kernel.shape[0] == 0:
+        return (None, gap ** 2) if gap ** 2 >= REJECT else (None, None)
+    if form is None:
+        return kernel[0], None
+    lam, vec = np.linalg.eigh(kernel @ form @ kernel.T)
+    if lam[0] < 0 < lam[-1]:
+        # a zero of the indefinite form
+        c = np.sqrt(lam[-1]) * vec[:, 0] + np.sqrt(-lam[0]) * vec[:, -1]
+        return c @ kernel, None
+    # Definite or singular.  A unit zero w = k + r of the form, k in the
+    # kernel and r orthogonal to it, has mu |k|^2 <= |k||r| + |r|^2 / 2
+    # (the form has norm 1/2), so |r| >= t, and its plane objective
+    # |block @ w|^2 is at least (gap t)^2, up to the kernel's 1e-10 cut.
+    k = int(np.argmin(np.abs(lam)))
+    mu = abs(lam[k])
+    t = 2 * mu / (1 + np.sqrt(1 + 4 * mu * (mu + 0.5)))
+    if (gap * t) ** 2 >= REJECT:
+        return None, float((gap * t) ** 2)
+    return vec[:, k] @ kernel, None
+
+
+def _exact_block(brackets: np.ndarray, offsets: np.ndarray, i: int, j: int):
+    """The bracket block of eigenspaces (i, j) and its rank-one form, or
+    None when the block is too large to decide exactly.
+
+    Columns are [u_s, v_t] in row-major order for i != j and [u_s, u_t],
+    s < t, for Λ²E_i.  Decided: Λ²E with dim E <= 4, one side of dimension
+    1, and two sides of dimension 2.
+    """
+    di, dj = offsets[i + 1] - offsets[i], offsets[j + 1] - offsets[j]
+    if i == j:
+        if di > 4:
+            return None
+        iu, ju = np.triu_indices(di, 1)
+        return (brackets[offsets[i] + iu, offsets[i] + ju].T,
+                _PFAFFIAN_4 if di == 4 else None)
+    if min(di, dj) > 1 and not di == dj == 2:
+        return None
+    block = brackets[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
+    return (block.reshape(di * dj, -1).T,
+            _DET_2X2 if di == dj == 2 else None)
+
+
 def commuting_witness(space: HomogeneousSpace, metric: np.ndarray,
                       seed: int = 0, starts: int = 32) -> PlaneWitness:
-    """Search for two commuting eigenvectors of the metric.
+    """Find two commuting eigenvectors of the metric, or show there are none.
 
-    Examines every pair of metric eigenspaces with a multistart quasi-Newton
-    descent of the plane objective.  An objective below 1e-9 is accepted, one
-    above 1e-6 rejected; results in between trigger a warning.
+    Visits every pair of metric eigenspaces in order.  Small blocks are
+    decided exactly from the kernel of the bracket on E_i ⊗ E_j (Λ²E_i on the
+    diagonal); blocks that are larger, or whose decision falls between
+    ACCEPT and REJECT, get a multistart quasi-Newton descent of the plane
+    objective.  An objective below 1e-9 is accepted, one above 1e-6
+    rejected; search results in between trigger a warning.
     """
     eig = _metric_eigenspaces(metric)
     cv = Curvature(space, metric)
@@ -142,9 +222,28 @@ def commuting_witness(space: HomogeneousSpace, metric: np.ndarray,
             if i == j and eig[i][1].shape[0] < 2:
                 continue
             pairs.append((i, j))
-    best = np.inf
+    # brackets of every pair of eigenvectors, in eigenspace order
+    amb = np.vstack([basis for _, basis in eig]) @ space.p_basis
+    brackets = bracket(space.ambient, amb[:, None], amb[None])
+    offsets = np.cumsum([0] + [basis.shape[0] for _, basis in eig])
+    best = bound = np.inf
+    proved = 0
     for pidx, (i, j) in enumerate(pairs):
         bx, by = eig[i][1], eig[j][1]
+        exact = _exact_block(brackets, offsets, i, j)
+        if exact is not None:
+            w, lower = _decide_block(*exact)
+            if lower is not None:
+                proved += 1
+                bound = min(bound, lower)
+                continue
+            if w is not None:
+                # re-check the plane with brackets before returning it
+                v = _pair_coefficients(w, bx.shape[0],
+                                       by.shape[0] if i != j else None)
+                f, _ = _plane_objective(space, bx, by)(v)
+                if f < ACCEPT:
+                    return _commuting_found(cv, bx, by, v, f, i, j, "exact")
         n_starts = 1 if (bx.shape[0] == 1 and by.shape[0] == 1) else starts
         for s in range(n_starts):
             rng = rng_from(seed, pidx, s)
@@ -152,24 +251,39 @@ def commuting_witness(space: HomogeneousSpace, metric: np.ndarray,
             f, v = _minimize_pair(space, bx, by, v0)
             best = min(best, f)
             if f < ACCEPT:
-                x = bx.T @ v[:bx.shape[0]]
-                y = by.T @ v[bx.shape[0]:]
-                y = y - (x @ y) / (x @ x) * x
-                x /= np.linalg.norm(x)
-                y /= np.linalg.norm(y)
-                return PlaneWitness(
-                    kind="commuting", found=True, objective=f,
-                    numerator=cv.numerator(x, y), x=x, y=y,
-                    message=f"commuting eigenvector pair in eigenspaces "
-                            f"({i}, {j})")
+                return _commuting_found(cv, bx, by, v, f, i, j, "search")
+    objective = float(min(best, bound))
+    if proved == len(pairs):
+        return PlaneWitness(
+            kind="commuting", found=False, objective=objective,
+            numerator=None, x=None, y=None, decided="exact",
+            message=f"no commuting pair: all {proved} eigenspace pairs "
+                    f"proved empty (objective at least {bound:.3e})")
     if best < REJECT:
         warnings.warn(f"commuting search is ambiguous (best objective "
                       f"{best:.3e}); treating as not found", stacklevel=2)
         msg = f"ambiguous: best objective {best:.3e} at {starts} starts"
     else:
         msg = f"no commuting pair found at {starts} starts per eigenspace pair"
-    return PlaneWitness(kind="commuting", found=False, objective=float(best),
-                        numerator=None, x=None, y=None, message=msg)
+    if proved:
+        msg += f"; {proved} of {len(pairs)} pairs proved empty"
+    return PlaneWitness(kind="commuting", found=False, objective=objective,
+                        numerator=None, x=None, y=None, message=msg,
+                        decided="search")
+
+
+def _commuting_found(cv: Curvature, bx: np.ndarray, by: np.ndarray,
+                     v: np.ndarray, f: float, i: int, j: int,
+                     decided: str) -> PlaneWitness:
+    x = bx.T @ v[:bx.shape[0]]
+    y = by.T @ v[bx.shape[0]:]
+    y = y - (x @ y) / (x @ x) * x
+    x = x / np.linalg.norm(x)
+    y = y / np.linalg.norm(y)
+    return PlaneWitness(
+        kind="commuting", found=True, objective=float(f),
+        numerator=cv.numerator(x, y), x=x, y=y, decided=decided,
+        message=f"commuting eigenvector pair in eigenspaces ({i}, {j})")
 
 
 def _kernel_partner(space: HomogeneousSpace, x: np.ndarray):
@@ -202,6 +316,7 @@ def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
 
     x = z = None
     objective = np.inf
+    decided = "exact"
     for vec in bottom:
         vec = vec / np.linalg.norm(vec)
         sigma2, partner = _kernel_partner(space, vec)
@@ -215,6 +330,7 @@ def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
                           f"singular value {sigma2:.3e})", stacklevel=2)
     elif z is None:
         objective = np.inf
+        decided = "search"
         full = np.eye(space.dim_p)
         for s_idx in range(draws):
             rng = rng_from(seed, s_idx)
@@ -235,7 +351,7 @@ def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
     if z is None:
         return PlaneWitness(
             kind="min-eigenvalue", found=False, objective=float(objective),
-            numerator=None, x=None, y=None,
+            numerator=None, x=None, y=None, decided=decided,
             message=f"no commuting partner for the bottom eigenspace "
                     f"(eigenvalue {lam:.6g})")
 
@@ -246,12 +362,12 @@ def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
     if num > NONPOS_TOL:
         return PlaneWitness(
             kind="min-eigenvalue", found=False, objective=float(objective),
-            numerator=num, x=x, y=y,
+            numerator=num, x=x, y=y, decided=decided,
             message=f"commuting partner found but numerator {num:.3e} "
                     f"exceeds {NONPOS_TOL}")
     return PlaneWitness(
         kind="min-eigenvalue", found=True, objective=float(objective),
-        numerator=num, x=x, y=y,
+        numerator=num, x=x, y=y, decided=decided,
         message=f"nonpositive plane at the bottom eigenvalue {lam:.6g}")
 
 
@@ -293,7 +409,6 @@ def symmetrize_sp2_31(space: HomogeneousSpace,
     if space.label != "sp2circle" or space.params_dict != {"p": 3, "q": 1}:
         raise ValueError("symmetrization applies to the (3, 1) circle "
                          "quotient of the rank-two symplectic group only")
-    from .isotypic import decompose
     from .algebra import coords_of
 
     alg = space.ambient
@@ -305,21 +420,20 @@ def symmetrize_sp2_31(space: HomogeneousSpace,
         raise RuntimeError("involution does not preserve p")
     det_a = float(np.linalg.det(aa))
 
-    dec = decompose(space)
-    comp2 = next(c for c in dec.components if c.weight == 2)
-
+    # the circle acts on p with weights 0, 2, 4 and 6, so the weight-2
+    # component is the -4 eigenspace of the square of its action
+    t_act = space.p_basis @ ad_operator(alg, space.torus_generator) @ space.p_basis.T
+    t_sq = t_act @ t_act
     f1 = space.p_coords(coords_of(alg, quaternion_to_complex(
         np.zeros((2, 2)), np.diag([0.0, 1.0]))))
     f2 = space.p_coords(coords_of(alg, quaternion_to_complex(
         np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros((2, 2)))))
     f1 /= np.linalg.norm(f1)
     f2 /= np.linalg.norm(f2)
-    proj = comp2.basis.T @ comp2.basis
-    if (np.linalg.norm(proj @ f1 - f1) > 1e-9
-            or np.linalg.norm(proj @ f2 - f2) > 1e-9):
+    if (np.linalg.norm(t_sq @ f1 + 4 * f1) > 1e-9
+            or np.linalg.norm(t_sq @ f2 + 4 * f2) > 1e-9):
         raise RuntimeError("reference vectors left the weight-2 component")
 
-    t_act = space.p_basis @ ad_operator(alg, space.torus_generator) @ space.p_basis.T
     jmat = t_act / 2.0
     h12 = complex(f1 @ metric @ f2, f1 @ metric @ (jmat @ f2))
     phi = float(np.angle(h12)) if abs(h12) > 1e-14 else 0.0

@@ -172,6 +172,7 @@ def witness_document(w: PlaneWitness) -> dict:
         "x": w.x,
         "y": w.y,
         "message": w.message,
+        "decided": w.decided,
     })
 
 

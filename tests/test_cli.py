@@ -211,6 +211,51 @@ def test_obstruct_quiet_on_positive_space():
     assert doc["obstruction_found"] is False
 
 
+def test_witness_documents_record_how_they_were_decided():
+    proc = run_cli("obstruct", "sp2circle", "--p", "3", "--q", "1",
+                   "--metric", "sample:1", "--check", "commuting")
+    assert proc.returncode == 0
+    witness = stdout_doc(proc)["checks"]["commuting"]
+    assert witness["found"] is False and witness["decided"] == "exact"
+    assert "proved empty" in witness["message"]
+    proc = run_cli("obstruct", "berger7", "--check", "commuting",
+                   "--starts", "2")
+    assert stdout_doc(proc)["checks"]["commuting"]["decided"] == "search"
+
+
+def _main_in_process(*argv):
+    import contextlib
+    import io
+    from homcurv.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_and_left_unchanged(monkeypatch):
+    from homcurv.cli import build_parser
+    monkeypatch.setenv("COLUMNS", "80")
+    assert build_parser() is build_parser()
+    # an option given to one command does not stick to the next
+    _, first, _ = _main_in_process("obstruct", "berger7", "--check",
+                                   "commuting", "--starts", "2")
+    _, again, _ = _main_in_process("obstruct", "berger7", "--check",
+                                   "commuting")
+    assert "at 2 starts" in json.loads(first)["checks"]["commuting"]["message"]
+    assert "at 32 starts" in json.loads(again)["checks"]["commuting"]["message"]
+    # usage errors and help read as from a fresh process
+    for argv in (["obstruct", "stiefel", "--check", "bogus"],
+                 ["certify", "--help"]):
+        fresh = run_cli(*argv)
+        for _ in range(2):
+            assert _main_in_process(*argv) == (fresh.returncode, fresh.stdout,
+                                               fresh.stderr)
+
+
 def test_obstruct_symmetrize_reports_phase():
     proc = run_cli("obstruct", "sp2circle", "--p", "3", "--q", "1",
                    "--metric", "sample:2", "--check", "symmetrize")

@@ -112,3 +112,40 @@ def test_decomposition_seed_independent():
         p0 = c0.basis.T @ c0.basis
         p1 = c1.basis.T @ c1.basis
         assert np.max(np.abs(p0 - p1)) < 1e-8
+
+
+def _einsum_commutant_basis(space):
+    """The commutant basis with one pair of einsum commutators per action."""
+    from homcurv.numerics import nullspace, symmetric_basis
+    from homcurv.spaces import isotropy_actions
+    sym = symmetric_basis(space.dim_p)
+    acts = isotropy_actions(space)
+    if not acts:
+        return sym
+    rows = [(np.einsum("ij,kjl->kil", a, sym)
+             - np.einsum("kij,jl->kil", sym, a)).reshape(len(sym), -1)
+            for a in acts]
+    coeffs = nullspace(np.hstack(rows).T)
+    return np.einsum("ck,kij->cij", coeffs, sym)
+
+
+def test_batched_commutators_keep_bases_and_samples_bit_identical(monkeypatch):
+    import homcurv.metrics
+    from homcurv.metrics import sample_metric
+    from homcurv.spaces import catalog_labels, listing_params
+    spaces = [catalog_build(label, **listing_params(label))
+              for label in catalog_labels()]
+    assert len(spaces) == 21
+    batched = {s.label: symmetric_commutant_basis(s) for s in spaces}
+    einsum = {s.label: _einsum_commutant_basis(s) for s in spaces}
+    for space in spaces:
+        assert np.array_equal(batched[space.label], einsum[space.label]), \
+            space.label
+    # sample_metric reads nothing else of the space's commutant basis
+    samples = []
+    for bases in (batched, einsum):
+        monkeypatch.setattr(homcurv.metrics, "symmetric_commutant_basis",
+                            lambda space, bases=bases: bases[space.label])
+        samples.append([sample_metric(space, seed=s).tobytes()
+                        for space in spaces for s in range(30)])
+    assert samples[0] == samples[1]

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from homcurv import catalog_build
 from homcurv.isotypic import symmetric_commutant_basis
-from homcurv.numerics import nullspace
+from homcurv.numerics import kernel_and_gap, nullspace
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -27,6 +27,12 @@ def test_nullspace_is_an_orthonormal_kernel_basis(rows, cols, rank, seed):
     assert np.allclose(kernel @ kernel.T, np.eye(len(kernel)), atol=1e-12)
     scale = max(1.0, float(np.linalg.norm(mat)))
     assert np.max(np.abs(mat @ kernel.T), initial=0.0) <= 1e-10 * scale
+    # the gap is the smallest singular value outside the kernel
+    same, gap = kernel_and_gap(mat)
+    assert np.array_equal(same, kernel)
+    s = np.linalg.svd(mat, compute_uv=False)
+    kept = s[s > 1e-10 * max(s[0], 1.0)]
+    assert np.isclose(gap, kept[-1] if len(kept) else np.inf, rtol=1e-12)
 
 
 def test_commutant_basis_takes_the_thin_svd(monkeypatch):
