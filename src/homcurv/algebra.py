@@ -279,14 +279,20 @@ def q_inner(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y))
 
 
-def rank(alg: LieAlgebra, draws: int = 8, seed: int = 0) -> int:
-    """Dimension of the kernel of ad_x for generic x, minimized over draws."""
-    if alg.dim == 0:
+def rank(alg: LieAlgebra, draws: int = 8, seed: int = 0,
+         basis: np.ndarray | None = None) -> int:
+    """Dimension of the kernel of ad_x for generic x, minimized over draws;
+    of the subalgebra spanned by the orthonormal rows of `basis`, if given."""
+    dim = alg.dim if basis is None else basis.shape[0]
+    if dim == 0:
         return 0
-    best = alg.dim
-    for k in range(draws):
-        x = rng_from(seed, k).standard_normal(alg.dim)
-        best = min(best, kernel_dimension(ad_operator(alg, x)))
+    best = dim
+    rng = rng_from(seed)
+    for _ in range(draws):
+        x = rng.standard_normal(dim)
+        ad = (ad_operator(alg, x) if basis is None
+              else basis @ ad_operator(alg, x @ basis) @ basis.T)
+        best = min(best, kernel_dimension(ad))
     return best
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import Curvature
+from .curvature import Curvature, PlaneForm
 from .numerics import rng_from
 from .spaces import HomogeneousSpace
 
@@ -84,7 +84,7 @@ def _g_orthonormalize(gm: np.ndarray, x: np.ndarray, y: np.ndarray):
     return x, y / np.where(degenerate, 1.0, ny)[:, None], degenerate
 
 
-def _trial_values(cv: Curvature, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _trial_values(cv: PlaneForm, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sectional values of the rows' planes, +inf where a plane is degenerate."""
     try:
         return cv.sectional(x, y)
@@ -95,7 +95,7 @@ def _trial_values(cv: Curvature, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return vals
 
 
-def _line_search(cv: Curvature, v: np.ndarray, grad: np.ndarray,
+def _line_search(cv: PlaneForm, v: np.ndarray, grad: np.ndarray,
                  sec: np.ndarray, gn2: np.ndarray, step: np.ndarray):
     """Armijo backtracking from every frame at once, each with its own step.
 
@@ -122,13 +122,16 @@ def _line_search(cv: Curvature, v: np.ndarray, grad: np.ndarray,
     return trial, accepted
 
 
-def _descend(cv: Curvature, draws: np.ndarray, max_iters: int, grad_tol: float):
+def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
+             grad_tol: float, within: tuple | None = None):
     """Minimize the sectional value of every start's plane in one batch.
 
     `draws` holds one start frame per row, x then y.  Each start keeps its
     own Barzilai-Borwein step, Armijo backtracking and stop rule; every round
-    evaluates all starts still descending together.  Returns the final values,
-    frames and stop reasons, one per row (values of failed rows are unset).
+    evaluates all starts still descending together.  Projectors `within` for
+    x and y keep frames drawn in two equal or G-orthogonal subspaces, or in
+    one subspace and all of p, inside them.  Returns the final values, frames
+    and stop reasons, one per row (values of failed rows are unset).
     """
     starts, n = len(draws), draws.shape[1] // 2
     final_sec = np.full(starts, np.nan)
@@ -154,6 +157,8 @@ def _descend(cv: Curvature, draws: np.ndarray, max_iters: int, grad_tol: float):
             st = retire(st, degenerate, FAILED)
             x, y = x[~degenerate], y[~degenerate]
         sec, gx, gy = cv.sectional_gradient(x, y)
+        if within is not None:
+            gx, gy = gx @ within[0], gy @ within[1]
         grad = np.concatenate([gx, gy], axis=1)
         gn2 = np.vecdot(grad, grad)
         no_progress = (st["sec"] - sec

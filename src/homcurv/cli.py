@@ -194,6 +194,14 @@ def _cmd_curvature(args, seed: int) -> int:
     return 0
 
 
+def _require_counts(args, *names: str) -> None:
+    """Usage error for a count option given below 1."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise CliError(f"--{name} must be at least 1, got {value}")
+
+
 def _metric_check(check: str, space, metric, seed: int, starts: int):
     """Run one metric-dependent check; returns (document, fired)."""
     if check == "commuting":
@@ -210,6 +218,7 @@ def _metric_check(check: str, space, metric, seed: int, starts: int):
 
 
 def _cmd_obstruct(args, seed: int) -> int:
+    _require_counts(args, "starts", "samples")
     space = _space_from_args(args)
     checks = (["commuting", "min-eigenvalue", "rank"]
               if args.check == "all" else [args.check])
@@ -258,6 +267,7 @@ def _cmd_obstruct(args, seed: int) -> int:
 
 
 def _cmd_certify(args, seed: int) -> int:
+    _require_counts(args, "starts")
     space = _space_from_args(args)
     metric = _resolve_metric(space, args.metric, seed)
     report = certify(space, metric, seed=seed, starts=args.starts,

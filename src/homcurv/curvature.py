@@ -14,9 +14,11 @@ tensor and keeps its restriction to a < b, c < d: the symmetric curvature
 operator M on Λ²p.  Every plane is then the quadratic form wᵀMw with
 w = x ∧ y, the numerator's gradients are (2Ωy, −2Ωx) with Ω the
 antisymmetric matrix of Mw, and sectional curvature divides by the metric
-Gram determinant.  The four-term formula is the operator's constructor, the
-tests' per-plane oracle, and the value of the rare plane so close to flat that
-wᵀMw is within its own rounding noise (see NOISE_BAND).
+Gram determinant.  `PlaneForm` does these evaluations for any symmetric
+operator and metric (the witness searches use it for |[x, y]|²).  The
+four-term formula is the operator's constructor, the tests' per-plane
+oracle, and the value of the rare plane so close to flat that wᵀMw is within
+its own rounding noise (see NOISE_BAND).
 """
 from __future__ import annotations
 
@@ -81,31 +83,23 @@ def _twisted_brackets(space: HomogeneousSpace, metric: np.ndarray,
             bracket(alg, pt @ (metric @ x), pt @ y))
 
 
-class Curvature:
-    """Curvature evaluator for one space and one invariant metric.
+class PlaneForm:
+    """Planes evaluated against a symmetric operator M on Λ²p and a metric G.
 
     Plane vectors are given in p-coordinates, as arrays of shape (..., dim p):
     every evaluation broadcasts over the leading axes, and one plane is a
-    batch with none.  The curvature operator is built on construction; every
-    evaluation after that is a contraction.
+    batch with none.  Every evaluation is a contraction.
     """
 
-    def __init__(self, space: HomogeneousSpace, metric: np.ndarray):
-        metric = np.asarray(metric, dtype=float)
-        if metric.shape != (space.dim_p, space.dim_p):
-            raise ValueError(f"metric shape {metric.shape} does not match "
-                             f"dim p = {space.dim_p}")
-        _, eigs = check_symmetric_positive(metric)
-        self.space = space
+    def __init__(self, operator: np.ndarray, metric: np.ndarray,
+                 max_eigenvalue: float):
+        self.operator = operator
         self.gm = metric
-        self.max_eigenvalue = float(eigs[-1])
-        self.gm_inv = np.linalg.inv(metric)
-        self.operator = curvature_operator(space, metric, self.gm_inv)
-        self._noise_scale = NOISE_BAND * float(np.linalg.norm(self.operator))
+        self.max_eigenvalue = max_eigenvalue
         # vec(x ⊗ y) @ W = x ∧ y, and (Mw) @ Wᵀ is vec(Ω) for the antisymmetric
         # Ω with upper triangle Mw; each entry has one nonzero term, so both
         # products are exact
-        n = space.dim_p
+        n = metric.shape[0]
         i, j = np.triu_indices(n, 1)
         pairs = np.arange(len(i))
         self._wedge_map = np.zeros((n * n, len(i)))
@@ -116,6 +110,84 @@ class Curvature:
         outer = x[..., :, None] * y[..., None, :]
         flat = outer.reshape(outer.shape[:-2] + (x.shape[-1] ** 2,))
         return flat @ self._wedge_map
+
+    def _value(self, w: np.ndarray, mw: np.ndarray, x: np.ndarray,
+               y: np.ndarray):
+        """The numerator wᵀMw."""
+        return np.vecdot(w, mw)
+
+    def _gradients(self, mw: np.ndarray, x: np.ndarray, y: np.ndarray):
+        """(2Ωy, −2Ωx) for the antisymmetric Ω whose upper triangle is mw."""
+        n = x.shape[-1]
+        omega = (mw @ self._wedge_map.T).reshape(mw.shape[:-1] + (n, n))
+        return (2.0 * (omega @ y[..., None])[..., 0],
+                -2.0 * (omega @ x[..., None])[..., 0])
+
+    def _gram_terms(self, x: np.ndarray, y: np.ndarray, check: bool = False):
+        """Gx, Gy, the Gram entries xx, yy, xy and the Gram determinant; with
+        `check`, raises if any plane is numerically dependent."""
+        gx, gy = x @ self.gm.T, y @ self.gm.T
+        xx, yy, xy = np.vecdot(x, gx), np.vecdot(y, gy), np.vecdot(x, gy)
+        d = xx * yy - xy * xy
+        if check and (d <= DEPENDENT_TOL * xx * yy).any():
+            raise ValueError("plane vectors are numerically dependent")
+        return gx, gy, xx, yy, xy, d
+
+    # public evaluations ----------------------------------------------------
+
+    def dependent(self, x: np.ndarray, y: np.ndarray):
+        """True for each plane whose two vectors are numerically dependent."""
+        _, _, xx, yy, _, d = self._gram_terms(x, y)
+        return d <= DEPENDENT_TOL * xx * yy
+
+    def numerator(self, x: np.ndarray, y: np.ndarray):
+        w = self._wedge(x, y)
+        return self._value(w, w @ self.operator, x, y)
+
+    def gram(self, x: np.ndarray, y: np.ndarray):
+        return self._gram_terms(x, y)[-1]
+
+    def sectional(self, x: np.ndarray, y: np.ndarray):
+        """Numerator over Gram determinant; raises if any plane is dependent."""
+        d = self._gram_terms(x, y, check=True)[-1]
+        return self.numerator(x, y) / d
+
+    def numerator_gradient(self, x: np.ndarray,
+                           y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of the numerator in both plane vectors."""
+        return self._gradients(self._wedge(x, y) @ self.operator, x, y)
+
+    def sectional_gradient(self, x: np.ndarray, y: np.ndarray):
+        """Sectional value plus its gradients in both plane vectors."""
+        gx_m, gy_m, xx, yy, xy, d = self._gram_terms(x, y, check=True)
+        w = self._wedge(x, y)
+        mw = w @ self.operator
+        sec = self._value(w, mw, x, y) / d
+        fx, fy = self._gradients(mw, x, y)
+        s2, xx, yy, xy, d = (t[..., None] for t in (2 * sec, xx, yy, xy, d))
+        return (sec, (fx - s2 * (yy * gx_m - xy * gy_m)) / d,
+                (fy - s2 * (xx * gy_m - xy * gx_m)) / d)
+
+
+class Curvature(PlaneForm):
+    """The plane form of the curvature operator of one space and metric."""
+
+    def __init__(self, space: HomogeneousSpace, metric: np.ndarray):
+        metric = np.asarray(metric, dtype=float)
+        if metric.shape != (space.dim_p, space.dim_p):
+            raise ValueError(f"metric shape {metric.shape} does not match "
+                             f"dim p = {space.dim_p}")
+        _, eigs = check_symmetric_positive(metric)
+        self.space = space
+        self.gm_inv = np.linalg.inv(metric)
+        super().__init__(curvature_operator(space, metric, self.gm_inv),
+                         metric, float(eigs[-1]))
+        self._noise_scale = NOISE_BAND * float(np.linalg.norm(self.operator))
+
+    # bench/spans.py times these by their names on this class
+    numerator = PlaneForm.numerator
+    sectional = PlaneForm.sectional
+    sectional_gradient = PlaneForm.sectional_gradient
 
     def _four_term_numerator(self, x: np.ndarray, y: np.ndarray) -> float:
         p = self.space.p_basis
@@ -141,65 +213,9 @@ class Curvature:
             f[idx] = self._four_term_numerator(x[idx], y[idx])
         return f[()]
 
-    def _gradients(self, mw: np.ndarray, x: np.ndarray, y: np.ndarray):
-        """(2Ωy, −2Ωx) for the antisymmetric Ω whose upper triangle is mw."""
-        n = x.shape[-1]
-        omega = (mw @ self._wedge_map.T).reshape(mw.shape[:-1] + (n, n))
-        return (2.0 * (omega @ y[..., None])[..., 0],
-                -2.0 * (omega @ x[..., None])[..., 0])
-
-    def _gram_terms(self, x: np.ndarray, y: np.ndarray):
-        """Gx, Gy, the Gram entries xx, yy, xy and the Gram determinant."""
-        gx, gy = x @ self.gm.T, y @ self.gm.T
-        xx, yy, xy = np.vecdot(x, gx), np.vecdot(y, gy), np.vecdot(x, gy)
-        return gx, gy, xx, yy, xy, xx * yy - xy * xy
-
-    def _independent_gram_terms(self, x: np.ndarray, y: np.ndarray):
-        """`_gram_terms`; raises if any plane is numerically dependent."""
-        terms = self._gram_terms(x, y)
-        _, _, xx, yy, _, d = terms
-        if (d <= DEPENDENT_TOL * xx * yy).any():
-            raise ValueError("plane vectors are numerically dependent")
-        return terms
-
-    # public evaluations ----------------------------------------------------
-
     def b_plus(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Symmetric bracket-metric term, unprojected ambient coordinates."""
         return b_plus(self.space, self.gm, x, y)
-
-    def dependent(self, x: np.ndarray, y: np.ndarray):
-        """True for each plane whose two vectors are numerically dependent."""
-        _, _, xx, yy, _, d = self._gram_terms(x, y)
-        return d <= DEPENDENT_TOL * xx * yy
-
-    def numerator(self, x: np.ndarray, y: np.ndarray):
-        w = self._wedge(x, y)
-        return self._value(w, w @ self.operator, x, y)
-
-    def gram(self, x: np.ndarray, y: np.ndarray):
-        return self._gram_terms(x, y)[-1]
-
-    def sectional(self, x: np.ndarray, y: np.ndarray):
-        """Sectional curvature; raises if any plane is numerically dependent."""
-        d = self._independent_gram_terms(x, y)[-1]
-        return self.numerator(x, y) / d
-
-    def numerator_gradient(self, x: np.ndarray,
-                           y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients of the unnormalized curvature in both plane vectors."""
-        return self._gradients(self._wedge(x, y) @ self.operator, x, y)
-
-    def sectional_gradient(self, x: np.ndarray, y: np.ndarray):
-        """Sectional value plus its gradients in both plane vectors."""
-        gx_m, gy_m, xx, yy, xy, d = self._independent_gram_terms(x, y)
-        w = self._wedge(x, y)
-        mw = w @ self.operator
-        sec = self._value(w, mw, x, y) / d
-        fx, fy = self._gradients(mw, x, y)
-        s2, xx, yy, xy, d = (t[..., None] for t in (2 * sec, xx, yy, xy, d))
-        return (sec, (fx - s2 * (yy * gx_m - xy * gy_m)) / d,
-                (fy - s2 * (xx * gy_m - xy * gx_m)) / d)
 
 
 def sectional_curvature(space: HomogeneousSpace, metric: np.ndarray,

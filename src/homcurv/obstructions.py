@@ -3,8 +3,9 @@
 Three mechanisms are implemented.  A pair of commuting metric eigenvectors
 spans a plane whose curvature numerator vanishes identically.  The bracket is
 linear in x∧y, so on small eigenspace blocks the pair is found, or proved
-absent, by linear algebra; larger blocks are searched.  An eigenvector
-for the smallest metric eigenvalue together with any commuting partner z in p
+absent, by linear algebra; larger blocks are searched by certify's batched
+descent of |[x, y]|² / Gram, kept inside the eigenspaces.  An eigenvector for
+the smallest metric eigenvalue together with any commuting partner z in p
 yields the plane (x, G^-1 z) with nonpositive numerator.  Finally the parity
 check compares the ambient and isotropy ranks: a difference outside {0, 1}
 rules out positive curvature regardless of the metric.
@@ -28,14 +29,17 @@ from .algebra import (
     quaternion_to_complex,
     rank,
 )
-from .curvature import Curvature
+from .certify import FAILED, _descend
+from .curvature import Curvature, PlaneForm
 from .metrics import conjugate_metric
 from .numerics import cluster_values, kernel_and_gap, rng_from
 from .spaces import HomogeneousSpace
 
-ACCEPT = 1e-9       # objective below this certifies a commuting pair
+ACCEPT = 1e-9       # bracket ratio below this certifies a commuting pair
 REJECT = 1e-6       # objective above this means no pair at these starts
 NONPOS_TOL = 1e-10  # numerator bound for the min-eigenvalue plane
+SEARCH_ITERS = 300  # descent limits of the witness searches
+SEARCH_GRAD_TOL = 1e-10
 
 # The quadratic forms whose zeros are the rank-one 2 x 2 coefficient blocks
 # (det, on row-major entries) and the decomposable elements of Λ²R⁴
@@ -53,7 +57,7 @@ class PlaneWitness:
     x: np.ndarray | None         # p-coordinates, unit length
     y: np.ndarray | None
     message: str
-    decided: str                 # "exact" (linear algebra only) | "search" (BFGS ran)
+    decided: str                 # "exact" (linear algebra only) | "search" (a plane descent ran)
 
 
 @dataclass(frozen=True)
@@ -73,58 +77,41 @@ class Sp2Symmetrization:
     det_involution: float        # determinant of the involution action on p
 
 
-def _plane_objective(space: HomogeneousSpace, basis_x: np.ndarray,
-                     basis_y: np.ndarray):
-    """Squared bracket norm over the Gram determinant, on (coeff_x, coeff_y).
+def _commutator_form(space: HomogeneousSpace) -> PlaneForm:
+    """|[x, y]|² / Gram as a plane form: BᵀB with B(e_a ∧ e_b) = [e_a, e_b], G = Id."""
+    i, j = np.triu_indices(space.dim_p, 1)
+    b = bracket(space.ambient, space.p_basis[i], space.p_basis[j])
+    return PlaneForm(b @ b.T, np.eye(space.dim_p), 1.0)
 
-    The value depends only on the plane spanned by the two vectors, so the
-    parameterization has flat directions but no spurious minima.
+
+def _bracket_ratio(space: HomogeneousSpace, x: np.ndarray,
+                   y: np.ndarray) -> float:
+    """|[x, y]|² over the Gram determinant, from one bracket of p-vectors."""
+    c = bracket(space.ambient, space.p_embed(x), space.p_embed(y))
+    return float(c @ c / ((x @ x) * (y @ y) - (x @ y) ** 2))
+
+
+def _search_planes(space: HomogeneousSpace, basis_x: np.ndarray,
+                   basis_y: np.ndarray, coeffs: np.ndarray):
+    """Descend the commutator form from every row of `coeffs` (coefficients
+    on basis_x, then on basis_y) with x and y kept in the spans of those
+    orthonormal rows.
+
+    Returns every start's final value (inf if it failed) and frame x, y.
     """
-    alg = space.ambient
-    pt = space.p_basis.T
-    pb = space.p_basis
-    nx = basis_x.shape[0]
-
-    def fun(v):
-        x = basis_x.T @ v[:nx]
-        y = basis_y.T @ v[nx:]
-        xa, ya = pt @ x, pt @ y
-        ad_x = ad_operator(alg, xa)
-        c = ad_x @ ya
-        num = c @ c
-        xx, yy, xy = x @ x, y @ y, x @ y
-        den = xx * yy - xy * xy
-        if den < 1e-14:
-            return num / 1e-14, np.zeros_like(v)
-        f = num / den
-        gx = 2 * (pb @ (ad_operator(alg, ya) @ c))      # [y, [x, y]]
-        gy = -2 * (pb @ (ad_x @ c))                      # [[x, y], x]
-        dx = 2 * yy * x - 2 * xy * y
-        dy = 2 * xx * y - 2 * xy * x
-        return f, np.concatenate([basis_x @ (gx - f * dx),
-                                  basis_y @ (gy - f * dy)]) / den
-
-    return fun
+    kx, n = basis_x.shape
+    draws = np.concatenate([coeffs[:, :kx] @ basis_x,
+                            coeffs[:, kx:] @ basis_y], axis=1)
+    vals, frames, reasons = _descend(
+        _commutator_form(space), draws, SEARCH_ITERS, SEARCH_GRAD_TOL,
+        within=(basis_x.T @ basis_x, basis_y.T @ basis_y))
+    vals[np.array(reasons) == FAILED] = np.inf
+    return vals, frames[:, :n], frames[:, n:]
 
 
-def minimize(fun, x0, **kwargs):
-    """`scipy.optimize.minimize`, with scipy.optimize imported on the first call.
-
-    Importing it costs most of the package's import time, and only the
-    quasi-Newton witness searches use it.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(fun, x0, **kwargs)
-
-
-def _minimize_pair(space, basis_x, basis_y, v0):
-    fun = _plane_objective(space, basis_x, basis_y)
-    f0, _ = fun(v0)
-    if f0 < ACCEPT:
-        return f0, v0
-    res = minimize(fun, v0, jac=True, method="BFGS",
-                   options={"gtol": 1e-14, "maxiter": 300})
-    return float(res.fun), res.x
+# Unused: bench/spans.py traces it by name until the next benchmark revision.
+def minimize(*args, **kwargs):
+    raise NotImplementedError("the witness searches use certify's descent")
 
 
 def _metric_eigenspaces(metric: np.ndarray):
@@ -135,16 +122,16 @@ def _metric_eigenspaces(metric: np.ndarray):
     return spaces
 
 
-def _pair_coefficients(w: np.ndarray, dx: int, dy: int | None) -> np.ndarray:
-    """Coefficients (a, b), concatenated, of the plane of a rank-one dx x dy
-    kernel element w, or of a decomposable w in Λ²R^dx when dy is None."""
-    if dy is None:
-        omega = np.zeros((dx, dx))
-        omega[np.triu_indices(dx, 1)] = w
+def _pair_plane(w: np.ndarray, bx: np.ndarray, by: np.ndarray, same: bool):
+    """The plane (x, y) of a rank-one kernel element w of the block of
+    eigenspace bases bx, by, or of a decomposable w in Λ² of bx when `same`."""
+    if same:
+        omega = np.zeros((len(bx), len(bx)))
+        omega[np.triu_indices(len(bx), 1)] = w
         u, _, _ = np.linalg.svd(omega - omega.T)
-        return np.concatenate([u[:, 0], u[:, 1]])
-    u, _, vt = np.linalg.svd(w.reshape(dx, dy))
-    return np.concatenate([u[:, 0], vt[0]])
+        return u[:, 0] @ bx, u[:, 1] @ bx
+    u, _, vt = np.linalg.svd(w.reshape(len(bx), len(by)))
+    return u[:, 0] @ bx, vt[0] @ by
 
 
 def _decide_block(block: np.ndarray, form: np.ndarray | None):
@@ -210,18 +197,15 @@ def commuting_witness(space: HomogeneousSpace, metric: np.ndarray,
     Visits every pair of metric eigenspaces in order.  Small blocks are
     decided exactly from the kernel of the bracket on E_i ⊗ E_j (Λ²E_i on the
     diagonal); blocks that are larger, or whose decision falls between
-    ACCEPT and REJECT, get a multistart quasi-Newton descent of the plane
-    objective.  An objective below 1e-9 is accepted, one above 1e-6
-    rejected; search results in between trigger a warning.
+    ACCEPT and REJECT, get a batched multistart descent of the plane
+    objective |[x, y]|² / Gram with x and y kept in the two eigenspaces.
+    A pair is accepted when its bracket ratio is below 1e-9; a search whose
+    best objective stays below 1e-6 triggers a warning.
     """
     eig = _metric_eigenspaces(metric)
     cv = Curvature(space, metric)
-    pairs = []
-    for i in range(len(eig)):
-        for j in range(i, len(eig)):
-            if i == j and eig[i][1].shape[0] < 2:
-                continue
-            pairs.append((i, j))
+    pairs = [(i, j) for i in range(len(eig)) for j in range(i, len(eig))
+             if i != j or eig[i][1].shape[0] > 1]
     # brackets of every pair of eigenvectors, in eigenspace order
     amb = np.vstack([basis for _, basis in eig]) @ space.p_basis
     brackets = bracket(space.ambient, amb[:, None], amb[None])
@@ -238,20 +222,19 @@ def commuting_witness(space: HomogeneousSpace, metric: np.ndarray,
                 bound = min(bound, lower)
                 continue
             if w is not None:
-                # re-check the plane with brackets before returning it
-                v = _pair_coefficients(w, bx.shape[0],
-                                       by.shape[0] if i != j else None)
-                f, _ = _plane_objective(space, bx, by)(v)
-                if f < ACCEPT:
-                    return _commuting_found(cv, bx, by, v, f, i, j, "exact")
+                x, y = _pair_plane(w, bx, by, i == j)
+                found = _commuting_found(space, cv, x, y, i, j, "exact")
+                if found is not None:
+                    return found
         n_starts = 1 if (bx.shape[0] == 1 and by.shape[0] == 1) else starts
-        for s in range(n_starts):
-            rng = rng_from(seed, pidx, s)
-            v0 = rng.standard_normal(bx.shape[0] + by.shape[0])
-            f, v = _minimize_pair(space, bx, by, v0)
-            best = min(best, f)
-            if f < ACCEPT:
-                return _commuting_found(cv, bx, by, v, f, i, j, "search")
+        coeffs = np.array([rng_from(seed, pidx, s).standard_normal(
+            bx.shape[0] + by.shape[0]) for s in range(n_starts)])
+        vals, xs, ys = _search_planes(space, bx, by, coeffs)
+        best = min(best, float(vals.min()))
+        for k in np.flatnonzero(vals < ACCEPT):
+            found = _commuting_found(space, cv, xs[k], ys[k], i, j, "search")
+            if found is not None:
+                return found
     objective = float(min(best, bound))
     if proved == len(pairs):
         return PlaneWitness(
@@ -272,14 +255,14 @@ def commuting_witness(space: HomogeneousSpace, metric: np.ndarray,
                         decided="search")
 
 
-def _commuting_found(cv: Curvature, bx: np.ndarray, by: np.ndarray,
-                     v: np.ndarray, f: float, i: int, j: int,
-                     decided: str) -> PlaneWitness:
-    x = bx.T @ v[:bx.shape[0]]
-    y = by.T @ v[bx.shape[0]:]
-    y = y - (x @ y) / (x @ x) * x
-    x = x / np.linalg.norm(x)
-    y = y / np.linalg.norm(y)
+def _commuting_found(space: HomogeneousSpace, cv: Curvature, x: np.ndarray,
+                     y: np.ndarray, i: int, j: int,
+                     decided: str) -> PlaneWitness | None:
+    """The witness on the orthonormal pair (x, y) if its bracket ratio is
+    below ACCEPT."""
+    f = _bracket_ratio(space, x, y)
+    if not f < ACCEPT:
+        return None
     return PlaneWitness(
         kind="commuting", found=True, objective=float(f),
         numerator=cv.numerator(x, y), x=x, y=y, decided=decided,
@@ -306,15 +289,16 @@ def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
 
     Finds x in the bottom eigenspace and z in p with [x, z] = 0, then checks
     that the plane (x, G^-1 z) has numerator at most 1e-10.  Each basis
-    vector of the eigenspace is tried by the SVD kernel test first; a
-    quasi-Newton multistart over the whole eigenspace runs only when none
-    of them has a partner.
+    vector of the eigenspace is tried by the SVD kernel test first; a batched
+    multistart descent of |[x, z]|² / Gram, with x kept in the eigenspace,
+    runs only when none of them has a partner.  A pair is kept only when
+    its bracket ratio, re-checked with one bracket, is below ACCEPT.
     """
     eig = _metric_eigenspaces(metric)
     lam, bottom = eig[0]
     cv = Curvature(space, metric)
 
-    x = z = None
+    candidates = []
     objective = np.inf
     decided = "exact"
     for vec in bottom:
@@ -322,40 +306,34 @@ def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
         sigma2, partner = _kernel_partner(space, vec)
         objective = min(objective, float(sigma2 ** 2))
         if sigma2 < 1e-8:
-            x, z = vec, partner
+            candidates = [(vec, partner)]
             break
-    if z is None and bottom.shape[0] == 1:
+    if not candidates and bottom.shape[0] == 1:
         if sigma2 < REJECT:
             warnings.warn(f"min-eigenvalue kernel is ambiguous (second "
                           f"singular value {sigma2:.3e})", stacklevel=2)
-    elif z is None:
-        objective = np.inf
+    elif not candidates:
         decided = "search"
-        full = np.eye(space.dim_p)
-        for s_idx in range(draws):
-            rng = rng_from(seed, s_idx)
-            v0 = np.concatenate([rng.standard_normal(bottom.shape[0]),
-                                 rng.standard_normal(space.dim_p)])
-            f, v = _minimize_pair(space, bottom, full, v0)
-            objective = min(objective, f)
-            if f < ACCEPT:
-                x = bottom.T @ v[:bottom.shape[0]]
-                x /= np.linalg.norm(x)
-                z = v[bottom.shape[0]:]
-                break
-        else:
-            if objective < REJECT:
-                warnings.warn(f"min-eigenvalue search is ambiguous (best "
-                              f"objective {objective:.3e})", stacklevel=2)
+        coeffs = np.array([rng_from(seed, s).standard_normal(
+            bottom.shape[0] + space.dim_p) for s in range(draws)])
+        vals, xs, zs = _search_planes(space, bottom, np.eye(space.dim_p),
+                                      coeffs)
+        objective = float(vals.min())
+        candidates = [(xs[k], zs[k]) for k in np.flatnonzero(vals < ACCEPT)]
+        if not candidates and objective < REJECT:
+            warnings.warn(f"min-eigenvalue search is ambiguous (best "
+                          f"objective {objective:.3e})", stacklevel=2)
 
-    if z is None:
+    pairs = [(cx, cz - (cx @ cz) * cx) for cx, cz in candidates]
+    pairs = [pair for pair in pairs if _bracket_ratio(space, *pair) < ACCEPT]
+    if not pairs:
         return PlaneWitness(
             kind="min-eigenvalue", found=False, objective=float(objective),
             numerator=None, x=None, y=None, decided=decided,
             message=f"no commuting partner for the bottom eigenspace "
                     f"(eigenvalue {lam:.6g})")
 
-    z = z - (x @ z) * x
+    x, z = pairs[0]
     y = cv.gm_inv @ z
     y /= np.linalg.norm(y)
     num = cv.numerator(x, y)
@@ -371,26 +349,10 @@ def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
         message=f"nonpositive plane at the bottom eigenvalue {lam:.6g}")
 
 
-def _subalgebra_rank(space: HomogeneousSpace, seed: int = 0,
-                     draws: int = 8) -> int:
-    hb = space.h_basis
-    if hb.shape[0] == 0:
-        return 0
-    rng = rng_from(seed)
-    best = hb.shape[0]
-    for _ in range(draws):
-        v = rng.standard_normal(hb.shape[0])
-        # row b holds [v, h_b] in h-coordinates: the transpose of ad_v on h
-        ad = bracket(space.ambient, v @ hb, hb) @ hb.T
-        s = np.linalg.svd(ad, compute_uv=False)
-        best = min(best, int(np.sum(s < 1e-8 * max(1.0, s[0]))))
-    return best
-
-
 def rank_parity_check(space: HomogeneousSpace) -> RankParity:
     """Rank difference test: positive curvature needs difference 0 or 1."""
     rk = rank(space.ambient)
-    rh = _subalgebra_rank(space)
+    rh = rank(space.ambient, basis=space.h_basis)
     diff = rk - rh
     consistent = diff in (0, 1) and (space.dim_p - diff) % 2 == 0
     return RankParity(rank_ambient=rk, rank_isotropy=rh, dim_p=space.dim_p,

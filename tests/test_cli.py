@@ -203,6 +203,29 @@ def test_obstruct_samples_need_sample_family():
     assert "sample:SEED" in stderr_error(proc)
 
 
+def test_obstruct_rejects_starts_below_one():
+    proc = run_cli("obstruct", "berger7", "--check", "commuting",
+                   "--starts", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--starts must be at least 1" in stderr_error(proc)
+
+
+def test_obstruct_rejects_samples_below_one():
+    proc = run_cli("obstruct", "s3s3circle", "--p", "2", "--q", "1",
+                   "--metric", "sample:0", "--samples", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--samples must be at least 1" in stderr_error(proc)
+
+
+def test_certify_rejects_starts_below_one():
+    proc = run_cli("certify", "berger7", "--starts", "-2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--starts must be at least 1" in stderr_error(proc)
+
+
 def test_obstruct_quiet_on_positive_space():
     proc = run_cli("obstruct", "berger7", "--check", "commuting",
                    "--starts", "4")

@@ -66,16 +66,16 @@ def test_min_eigenvalue_witness_on_stiefel():
 
 def test_two_dimensional_bottom_eigenspace_needs_no_search(monkeypatch):
     # every vector of stiefel's bottom eigenspace has a commuting partner,
-    # which the kernel test on a basis vector finds without the BFGS search
+    # which the kernel test on a basis vector finds without the plane search
     import homcurv.obstructions as obs
     space = catalog_build("stiefel")
     g = sample_metric(space, seed=3)
     assert obs._metric_eigenspaces(g)[0][1].shape[0] == 2
 
     def no_search(*args):
-        raise AssertionError("quasi-Newton search ran")
+        raise AssertionError("plane search ran")
 
-    monkeypatch.setattr(obs, "_minimize_pair", no_search)
+    monkeypatch.setattr(obs, "_search_planes", no_search)
     w = min_eigenvalue_witness(space, g, seed=3)
     assert w.found and w.numerator <= 1e-10
     assert w.objective < 1e-16
@@ -151,13 +151,13 @@ def test_symmetrize_rejects_other_spaces():
         symmetrize_sp2_31(space, normal_metric(space))
 
 
-LAZY_SCIPY = textwrap.dedent("""
+NO_SCIPY_OPTIMIZE = textwrap.dedent("""
     import sys
     import homcurv.cli, homcurv.acceptance
     assert "scipy.optimize" not in sys.modules, "loaded on import"
     from homcurv import catalog_build
     from homcurv.metrics import normal_metric, sample_metric
-    from homcurv.obstructions import commuting_witness
+    from homcurv.obstructions import commuting_witness, min_eigenvalue_witness
     space = catalog_build("s3s3circle", p=2, q=1)
     w = commuting_witness(space, sample_metric(space, seed=0))
     assert w.found and w.objective < 1e-9 and w.decided == "exact", w.message
@@ -166,16 +166,20 @@ LAZY_SCIPY = textwrap.dedent("""
     space = catalog_build("berger7")
     w = commuting_witness(space, normal_metric(space), starts=1)
     assert w.decided == "search", w.message
-    assert "scipy.optimize" in sys.modules
+    assert "scipy.optimize" not in sys.modules, "loaded by a searched block"
+    # the 7-dimensional bottom eigenspace has no basis vector with a partner
+    w = min_eigenvalue_witness(space, normal_metric(space), draws=2)
+    assert w.decided == "search", w.message
+    assert "scipy.optimize" not in sys.modules, "loaded by the fallback"
 """)
 
 
-def test_scipy_optimize_loads_on_the_first_search_only():
+def test_no_witness_loads_scipy_optimize():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY], env=env,
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_OPTIMIZE], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
@@ -191,7 +195,7 @@ def _flat_ratio(space, x, y):
     ("sp2circle", {"p": 3, "q": 1}), ("s3s3circle", {"p": 2, "q": 1}),
     ("stiefel", {})])
 def test_exact_decisions_agree_with_the_search(monkeypatch, label, params):
-    # the quasi-Newton search over every block is the oracle
+    # the plane search over every block is the oracle
     space = catalog_build(label, **params)
     exact = []
     for seed in range(50):
@@ -211,11 +215,11 @@ def test_exact_decisions_agree_with_the_search(monkeypatch, label, params):
 
 
 def _no_search(*args):
-    raise AssertionError("quasi-Newton search ran")
+    raise AssertionError("plane search ran")
 
 
 def test_documented_samples_need_no_search(monkeypatch):
-    monkeypatch.setattr(obs, "_minimize_pair", _no_search)
+    monkeypatch.setattr(obs, "_search_planes", _no_search)
     space = catalog_build("sp2circle", p=3, q=1)
     w = commuting_witness(space, sample_metric(space, seed=1))
     assert not w.found and w.decided == "exact"
@@ -304,7 +308,7 @@ def _commuting_frame(space):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_exact_pair_inside_one_eigenspace(monkeypatch, dim):
-    monkeypatch.setattr(obs, "_minimize_pair", _no_search)
+    monkeypatch.setattr(obs, "_search_planes", _no_search)
     space = catalog_build("s3s3circle", p=2, q=1)
     frame = _commuting_frame(space)
     g = _metric_with_eigenspaces(space, [frame[:dim]])
@@ -318,7 +322,7 @@ def test_exact_pair_inside_one_eigenspace(monkeypatch, dim):
 def test_exact_pair_from_a_singular_det_form(monkeypatch):
     # E_0 = span(x, a), E_1 = span(y, b) with [x, y] = 0: the kernel of the
     # 2 x 2 block is the one rank-one element x ⊗ y
-    monkeypatch.setattr(obs, "_minimize_pair", _no_search)
+    monkeypatch.setattr(obs, "_search_planes", _no_search)
     space = catalog_build("s3s3circle", p=2, q=1)
     x, y, a, b = _commuting_frame(space)
     g = _metric_with_eigenspaces(space, [np.array([x, a]), np.array([y, b])])
@@ -351,13 +355,13 @@ def test_guard_band_block_is_searched(monkeypatch):
     assert ACCEPT < _flat_ratio(space, x, y_t) < REJECT
     g = _metric_with_eigenspaces(space, [x, y_t])
     searched = []
-    real = obs._minimize_pair
+    real = obs._search_planes
 
-    def record(space_, bx, by, v0):
+    def record(space_, bx, by, coeffs):
         searched.append((bx, by))
-        return real(space_, bx, by, v0)
+        return real(space_, bx, by, coeffs)
 
-    monkeypatch.setattr(obs, "_minimize_pair", record)
+    monkeypatch.setattr(obs, "_search_planes", record)
     with pytest.warns(UserWarning, match="ambiguous"):
         w = commuting_witness(space, g)
     assert not w.found and w.decided == "search"
