@@ -21,7 +21,7 @@ embeds as [[a, b], [-conj(b), conj(a)]].
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +42,6 @@ class LieAlgebra:
     dim: int
     structure_constants: np.ndarray  # (dim, dim, dim) float64
     realization: MatrixRealization
-    factor_slices: tuple[tuple[int, int], ...] = field(default=None)
-
-    def __post_init__(self):
-        if self.factor_slices is None:
-            object.__setattr__(self, "factor_slices", ((0, self.dim),))
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -211,14 +206,11 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     c = np.zeros((a.dim + b.dim,) * 3)
     c[:a.dim, :a.dim, :a.dim] = a.structure_constants
     c[a.dim:, a.dim:, a.dim:] = b.structure_constants
-    slices = tuple((s, e) for s, e in a.factor_slices)
-    slices += tuple((s + a.dim, e + a.dim) for s, e in b.factor_slices)
     return LieAlgebra(
         name=f"{a.name}+{b.name}",
         dim=a.dim + b.dim,
         structure_constants=c,
         realization=MatrixRealization(m, basis, "sum"),
-        factor_slices=slices,
     )
 
 

@@ -213,10 +213,6 @@ class Curvature(PlaneForm):
             f[idx] = self._four_term_numerator(x[idx], y[idx])
         return f[()]
 
-    def b_plus(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Symmetric bracket-metric term, unprojected ambient coordinates."""
-        return b_plus(self.space, self.gm, x, y)
-
 
 def sectional_curvature(space: HomogeneousSpace, metric: np.ndarray,
                         x: np.ndarray, y: np.ndarray) -> float:

@@ -1,14 +1,18 @@
 """Obstruction witnesses against positively curved invariant metrics.
 
 Three mechanisms are implemented.  A pair of commuting metric eigenvectors
-spans a plane whose curvature numerator vanishes identically.  The bracket is
-linear in x∧y, so on small eigenspace blocks the pair is found, or proved
-absent, by linear algebra; larger blocks are searched by certify's batched
-descent of |[x, y]|² / Gram, kept inside the eigenspaces.  An eigenvector for
-the smallest metric eigenvalue together with any commuting partner z in p
-yields the plane (x, G^-1 z) with nonpositive numerator.  Finally the parity
-check compares the ambient and isotropy ranks: a difference outside {0, 1}
-rules out positive curvature regardless of the metric.
+spans a plane whose curvature numerator vanishes identically.  An
+eigenvector x for the smallest metric eigenvalue together with any commuting
+partner z in p yields the plane (x, G^-1 z) with nonpositive numerator.  Both
+witnesses look for their pair with one block decision: the bracket is linear
+in x∧y, so on small blocks of two subspaces the pair is found, or proved
+absent, by linear algebra, and larger blocks are searched by certify's
+batched descent of |[x, y]|² / Gram, kept inside the subspaces.  The
+commuting witness passes pairs of eigenspaces; the min-eigenvalue witness
+passes (v, v^⊥) for each basis vector v of the bottom eigenspace E_0, and
+(E_0, p) when dim E_0 > 1.  Finally the parity check compares the ambient
+and isotropy ranks: a difference outside {0, 1} rules out positive curvature
+regardless of the metric.
 
 The quotient of the rank-two symplectic group by its (3, 1) circle carries an
 extra involution-type normalizer element; `symmetrize_sp2_31` conjugates any
@@ -32,7 +36,7 @@ from .algebra import (
 from .certify import FAILED, _descend
 from .curvature import Curvature, PlaneForm
 from .metrics import conjugate_metric
-from .numerics import cluster_values, kernel_and_gap, rng_from
+from .numerics import cluster_values, kernel_and_gap, nullspace, rng_from
 from .spaces import HomogeneousSpace
 
 ACCEPT = 1e-9       # bracket ratio below this certifies a commuting pair
@@ -123,8 +127,8 @@ def _metric_eigenspaces(metric: np.ndarray):
 
 
 def _pair_plane(w: np.ndarray, bx: np.ndarray, by: np.ndarray, same: bool):
-    """The plane (x, y) of a rank-one kernel element w of the block of
-    eigenspace bases bx, by, or of a decomposable w in Λ² of bx when `same`."""
+    """The plane (x, y) of a rank-one kernel element w of the block of the
+    bases bx, by, or of a decomposable w in Λ² of bx when `same`."""
     if same:
         omega = np.zeros((len(bx), len(bx)))
         omega[np.triu_indices(len(bx), 1)] = w
@@ -135,7 +139,7 @@ def _pair_plane(w: np.ndarray, bx: np.ndarray, by: np.ndarray, same: bool):
 
 
 def _decide_block(block: np.ndarray, form: np.ndarray | None):
-    """Decide one small eigenspace block by linear algebra.
+    """Decide one small block by linear algebra.
 
     `block` maps coefficient vectors to brackets; a commuting pair is a
     rank-one (decomposable) element of its kernel, that is a zero of `form`
@@ -168,172 +172,142 @@ def _decide_block(block: np.ndarray, form: np.ndarray | None):
     return vec[:, k] @ kernel, None
 
 
-def _exact_block(brackets: np.ndarray, offsets: np.ndarray, i: int, j: int):
-    """The bracket block of eigenspaces (i, j) and its rank-one form, or
-    None when the block is too large to decide exactly.
+def _exact_block(space: HomogeneousSpace, bx: np.ndarray, by: np.ndarray,
+                 same: bool):
+    """The bracket block of the bases bx, by and its rank-one form, or None
+    when the block is too large to decide exactly.
 
-    Columns are [u_s, v_t] in row-major order for i != j and [u_s, u_t],
-    s < t, for Λ²E_i.  Decided: Λ²E with dim E <= 4, one side of dimension
-    1, and two sides of dimension 2.
+    Columns are [u_s, v_t] in row-major order for two bases and [u_s, u_t],
+    s < t, for Λ² of bx when `same`.  Decided: Λ²E with dim E <= 4, one side
+    of dimension 1, and two sides of dimension 2, when the two spans are
+    orthogonal (otherwise the kernel holds the degenerate pairs x ⊗ x).
     """
-    di, dj = offsets[i + 1] - offsets[i], offsets[j + 1] - offsets[j]
-    if i == j:
-        if di > 4:
+    ax = bx @ space.p_basis
+    if same:
+        if len(bx) > 4:
             return None
-        iu, ju = np.triu_indices(di, 1)
-        return (brackets[offsets[i] + iu, offsets[i] + ju].T,
-                _PFAFFIAN_4 if di == 4 else None)
-    if min(di, dj) > 1 and not di == dj == 2:
+        iu, ju = np.triu_indices(len(bx), 1)
+        return (bracket(space.ambient, ax[iu], ax[ju]).T,
+                _PFAFFIAN_4 if len(bx) == 4 else None)
+    if ((min(len(bx), len(by)) > 1 and not len(bx) == len(by) == 2)
+            or np.abs(bx @ by.T).max() > 1e-9):
         return None
-    block = brackets[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
-    return (block.reshape(di * dj, -1).T,
-            _DET_2X2 if di == dj == 2 else None)
+    block = bracket(space.ambient, ax[:, None], (by @ space.p_basis)[None])
+    return (block.reshape(len(bx) * len(by), -1).T,
+            _DET_2X2 if len(bx) == len(by) == 2 else None)
+
+
+def _find_pair(space: HomogeneousSpace, blocks: list, starts: int):
+    """The first commuting pair x in span bx, y in span by over the blocks
+    (bx, by, same, key), with orthonormal basis rows; `same` puts y in span
+    bx too.
+
+    Small blocks are decided exactly: a pair, or a lower bound of at least
+    REJECT on the block's plane objective, which proves it empty.  The other
+    blocks, and those the linear algebra leaves undecided, get `starts`
+    descents drawn from rng_from(*key, s) (one when both sides are lines).
+    A pair is kept only when its bracket ratio is below ACCEPT.  Returns
+    (x, y, k) for a pair from block k or None, how it was decided ("exact"
+    when the pair came from linear algebra or every block was proved empty),
+    the objective (the pair's ratio, else the lower of the best searched
+    value and the proved bound) and the number of blocks proved empty.
+    """
+    best = bound = np.inf
+    proved = 0
+    for k, (bx, by, same, key) in enumerate(blocks):
+        exact = _exact_block(space, bx, by, same)
+        w, lower = _decide_block(*exact) if exact is not None else (None, None)
+        if lower is not None:
+            proved += 1
+            bound = min(bound, lower)
+            continue
+        if w is not None:
+            x, y = _pair_plane(w, bx, by, same)
+            ratio = _bracket_ratio(space, x, y)
+            if ratio < ACCEPT:
+                return (x, y, k), "exact", ratio, proved
+        n_starts = 1 if len(bx) == len(by) == 1 else starts
+        coeffs = np.array([rng_from(*key, s).standard_normal(len(bx) + len(by))
+                           for s in range(n_starts)])
+        vals, xs, ys = _search_planes(space, bx, by, coeffs)
+        best = min(best, float(vals.min()))
+        for s in np.flatnonzero(vals < ACCEPT):
+            ratio = _bracket_ratio(space, xs[s], ys[s])
+            if ratio < ACCEPT:
+                return (xs[s], ys[s], k), "search", ratio, proved
+    if proved == len(blocks):
+        return None, "exact", bound, proved
+    if best < REJECT:
+        warnings.warn(f"commuting-pair search is ambiguous (best objective "
+                      f"{best:.3e}); treating as not found", stacklevel=3)
+    return None, "search", min(best, bound), proved
 
 
 def commuting_witness(space: HomogeneousSpace, metric: np.ndarray,
                       seed: int = 0, starts: int = 32) -> PlaneWitness:
     """Find two commuting eigenvectors of the metric, or show there are none.
 
-    Visits every pair of metric eigenspaces in order.  Small blocks are
-    decided exactly from the kernel of the bracket on E_i ⊗ E_j (Λ²E_i on the
-    diagonal); blocks that are larger, or whose decision falls between
-    ACCEPT and REJECT, get a batched multistart descent of the plane
-    objective |[x, y]|² / Gram with x and y kept in the two eigenspaces.
-    A pair is accepted when its bracket ratio is below 1e-9; a search whose
-    best objective stays below 1e-6 triggers a warning.
+    Passes every pair of metric eigenspaces (E_i, E_j), i <= j, to the
+    block decision of `_find_pair`: small blocks are decided exactly from
+    the kernel of the bracket on E_i ⊗ E_j (Λ²E_i on the diagonal), the rest
+    get a batched multistart descent of |[x, y]|² / Gram with x and y kept
+    in the two eigenspaces.  A pair is accepted when its bracket ratio is
+    below 1e-9; a search whose best objective stays below 1e-6 triggers a
+    warning.
     """
     eig = _metric_eigenspaces(metric)
-    cv = Curvature(space, metric)
     pairs = [(i, j) for i in range(len(eig)) for j in range(i, len(eig))
              if i != j or eig[i][1].shape[0] > 1]
-    # brackets of every pair of eigenvectors, in eigenspace order
-    amb = np.vstack([basis for _, basis in eig]) @ space.p_basis
-    brackets = bracket(space.ambient, amb[:, None], amb[None])
-    offsets = np.cumsum([0] + [basis.shape[0] for _, basis in eig])
-    best = bound = np.inf
-    proved = 0
-    for pidx, (i, j) in enumerate(pairs):
-        bx, by = eig[i][1], eig[j][1]
-        exact = _exact_block(brackets, offsets, i, j)
-        if exact is not None:
-            w, lower = _decide_block(*exact)
-            if lower is not None:
-                proved += 1
-                bound = min(bound, lower)
-                continue
-            if w is not None:
-                x, y = _pair_plane(w, bx, by, i == j)
-                found = _commuting_found(space, cv, x, y, i, j, "exact")
-                if found is not None:
-                    return found
-        n_starts = 1 if (bx.shape[0] == 1 and by.shape[0] == 1) else starts
-        coeffs = np.array([rng_from(seed, pidx, s).standard_normal(
-            bx.shape[0] + by.shape[0]) for s in range(n_starts)])
-        vals, xs, ys = _search_planes(space, bx, by, coeffs)
-        best = min(best, float(vals.min()))
-        for k in np.flatnonzero(vals < ACCEPT):
-            found = _commuting_found(space, cv, xs[k], ys[k], i, j, "search")
-            if found is not None:
-                return found
-    objective = float(min(best, bound))
-    if proved == len(pairs):
+    blocks = [(eig[i][1], eig[j][1], i == j, (seed, pidx))
+              for pidx, (i, j) in enumerate(pairs)]
+    pair, decided, objective, proved = _find_pair(space, blocks, starts)
+    if pair is not None:
+        x, y, k = pair
         return PlaneWitness(
-            kind="commuting", found=False, objective=objective,
-            numerator=None, x=None, y=None, decided="exact",
-            message=f"no commuting pair: all {proved} eigenspace pairs "
-                    f"proved empty (objective at least {bound:.3e})")
-    if best < REJECT:
-        warnings.warn(f"commuting search is ambiguous (best objective "
-                      f"{best:.3e}); treating as not found", stacklevel=2)
-        msg = f"ambiguous: best objective {best:.3e} at {starts} starts"
+            kind="commuting", found=True, objective=float(objective),
+            numerator=Curvature(space, metric).numerator(x, y), x=x, y=y,
+            decided=decided,
+            message=f"commuting eigenvector pair in eigenspaces {pairs[k]}")
+    if decided == "exact":
+        msg = (f"no commuting pair: all {proved} eigenspace pairs proved "
+               f"empty (objective at least {objective:.3e})")
+    elif objective < REJECT:
+        msg = f"ambiguous: best objective {objective:.3e} at {starts} starts"
     else:
         msg = f"no commuting pair found at {starts} starts per eigenspace pair"
-    if proved:
+    if decided == "search" and proved:
         msg += f"; {proved} of {len(pairs)} pairs proved empty"
-    return PlaneWitness(kind="commuting", found=False, objective=objective,
-                        numerator=None, x=None, y=None, message=msg,
-                        decided="search")
-
-
-def _commuting_found(space: HomogeneousSpace, cv: Curvature, x: np.ndarray,
-                     y: np.ndarray, i: int, j: int,
-                     decided: str) -> PlaneWitness | None:
-    """The witness on the orthonormal pair (x, y) if its bracket ratio is
-    below ACCEPT."""
-    f = _bracket_ratio(space, x, y)
-    if not f < ACCEPT:
-        return None
-    return PlaneWitness(
-        kind="commuting", found=True, objective=float(f),
-        numerator=cv.numerator(x, y), x=x, y=y, decided=decided,
-        message=f"commuting eigenvector pair in eigenspaces ({i}, {j})")
-
-
-def _kernel_partner(space: HomogeneousSpace, x: np.ndarray):
-    """Second-smallest singular value of ad_x on p and its right singular vector.
-
-    ad_x always kills x itself, so a second (near-)zero singular value means a
-    commuting partner z in p, returned in p-coordinates.
-    """
-    pt = space.p_basis.T
-    ad = ad_operator(space.ambient, pt @ x)
-    _, s, vt = np.linalg.svd(ad @ pt)       # columns [x, e_k] in ambient coordinates
-    if len(s) < 2:
-        return np.inf, None
-    return s[-2], vt[-2]
+    return PlaneWitness(kind="commuting", found=False,
+                        objective=float(objective), numerator=None, x=None,
+                        y=None, message=msg, decided=decided)
 
 
 def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
                            seed: int = 0, draws: int = 64) -> PlaneWitness:
     """Witness plane built from the smallest metric eigenvalue.
 
-    Finds x in the bottom eigenspace and z in p with [x, z] = 0, then checks
-    that the plane (x, G^-1 z) has numerator at most 1e-10.  Each basis
-    vector of the eigenspace is tried by the SVD kernel test first; a batched
-    multistart descent of |[x, z]|² / Gram, with x kept in the eigenspace,
-    runs only when none of them has a partner.  A pair is kept only when
-    its bracket ratio, re-checked with one bracket, is below ACCEPT.
+    Finds x in the bottom eigenspace E_0 and z in p with [x, z] = 0, then
+    checks that the plane (x, G^-1 z) has numerator at most 1e-10.  The
+    pair comes from the block decision of `_find_pair`: one block (v, v^⊥)
+    per basis vector v of E_0, with v^⊥ the orthogonal complement of v in p,
+    is decided exactly, and when dim E_0 > 1 the block (E_0, p) is searched
+    by a batched multistart descent of |[x, z]|² / Gram with x kept in E_0.
     """
-    eig = _metric_eigenspaces(metric)
-    lam, bottom = eig[0]
-    cv = Curvature(space, metric)
-
-    candidates = []
-    objective = np.inf
-    decided = "exact"
-    for vec in bottom:
-        vec = vec / np.linalg.norm(vec)
-        sigma2, partner = _kernel_partner(space, vec)
-        objective = min(objective, float(sigma2 ** 2))
-        if sigma2 < 1e-8:
-            candidates = [(vec, partner)]
-            break
-    if not candidates and bottom.shape[0] == 1:
-        if sigma2 < REJECT:
-            warnings.warn(f"min-eigenvalue kernel is ambiguous (second "
-                          f"singular value {sigma2:.3e})", stacklevel=2)
-    elif not candidates:
-        decided = "search"
-        coeffs = np.array([rng_from(seed, s).standard_normal(
-            bottom.shape[0] + space.dim_p) for s in range(draws)])
-        vals, xs, zs = _search_planes(space, bottom, np.eye(space.dim_p),
-                                      coeffs)
-        objective = float(vals.min())
-        candidates = [(xs[k], zs[k]) for k in np.flatnonzero(vals < ACCEPT)]
-        if not candidates and objective < REJECT:
-            warnings.warn(f"min-eigenvalue search is ambiguous (best "
-                          f"objective {objective:.3e})", stacklevel=2)
-
-    pairs = [(cx, cz - (cx @ cz) * cx) for cx, cz in candidates]
-    pairs = [pair for pair in pairs if _bracket_ratio(space, *pair) < ACCEPT]
-    if not pairs:
+    lam, bottom = _metric_eigenspaces(metric)[0]
+    blocks = [(v[None], nullspace(v[None]), False, (seed, k))
+              for k, v in enumerate(bottom)]
+    if len(bottom) > 1:
+        blocks.append((bottom, np.eye(space.dim_p), False, (seed,)))
+    pair, decided, objective, _ = _find_pair(space, blocks, draws)
+    if pair is None:
         return PlaneWitness(
             kind="min-eigenvalue", found=False, objective=float(objective),
             numerator=None, x=None, y=None, decided=decided,
             message=f"no commuting partner for the bottom eigenspace "
                     f"(eigenvalue {lam:.6g})")
 
-    x, z = pairs[0]
+    x, z, _ = pair
+    cv = Curvature(space, metric)
     y = cv.gm_inv @ z
     y /= np.linalg.norm(y)
     num = cv.numerator(x, y)

@@ -170,7 +170,6 @@ def test_rank_values():
 def test_direct_sum():
     alg = direct_sum(build_algebra("su", 3), build_algebra("so", 3))
     assert alg.dim == 11
-    assert alg.factor_slices == ((0, 8), (8, 11))
     assert rank(alg) == 3
     validate_algebra(alg)
     # cross-factor brackets vanish

@@ -66,7 +66,8 @@ def test_min_eigenvalue_witness_on_stiefel():
 
 def test_two_dimensional_bottom_eigenspace_needs_no_search(monkeypatch):
     # every vector of stiefel's bottom eigenspace has a commuting partner,
-    # which the kernel test on a basis vector finds without the plane search
+    # which the exact decision of a basis vector's (v, v^⊥) block finds
+    # without the plane search
     import homcurv.obstructions as obs
     space = catalog_build("stiefel")
     g = sample_metric(space, seed=3)
@@ -86,6 +87,60 @@ def test_min_eigenvalue_witness_absent_on_positive_space():
     w = min_eigenvalue_witness(space, normal_metric(space), draws=16)
     assert not w.found
     assert w.objective > 1e-6
+
+
+def test_one_dimensional_bottom_eigenspace_proves_absence(monkeypatch):
+    # sphere-su n=2 at sample:0: E_0 is a line and ad_v has σ₂ ≈ 1.2 on v^⊥
+    from homcurv.metrics import metric_from_spec
+    space = catalog_build("sphere-su", n=2)
+    g = metric_from_spec(space, "sample:0")
+    assert obs._metric_eigenspaces(g)[0][1].shape[0] == 1
+    monkeypatch.setattr(obs, "_search_planes", _no_search)
+    w = min_eigenvalue_witness(space, g)
+    assert not w.found and w.decided == "exact"
+    assert w.objective >= REJECT
+
+
+def test_undecided_basis_vector_block_is_searched(monkeypatch):
+    from homcurv.metrics import metric_from_spec
+    space = catalog_build("sphere-su", n=2)
+    g = metric_from_spec(space, "sample:0")
+    monkeypatch.setattr(obs, "_decide_block", lambda *args: (None, None))
+    searched = []
+    real = obs._search_planes
+
+    def record(space_, bx, by, coeffs):
+        searched.append((bx.shape, by.shape))
+        return real(space_, bx, by, coeffs)
+
+    monkeypatch.setattr(obs, "_search_planes", record)
+    w = min_eigenvalue_witness(space, g, draws=4)
+    n = space.dim_p
+    assert searched == [((1, n), (n - 1, n))]
+    assert not w.found and w.decided == "search"
+
+
+def test_overlapping_block_is_searched_not_decided():
+    # CP¹ is a round 2-sphere: E_0 = p, and the kernel of the bracket on
+    # E_0 ⊗ p holds the degenerate pairs x ⊗ x, which must not be decided
+    # as a witness
+    import warnings
+    space = catalog_build("cpn", n=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = min_eigenvalue_witness(space, normal_metric(space), draws=8)
+    assert not w.found and w.decided == "search"
+
+
+def test_no_curvature_built_without_a_witness(monkeypatch):
+    def no_curvature(*args):
+        raise AssertionError("Curvature built")
+
+    monkeypatch.setattr(obs, "Curvature", no_curvature)
+    space = catalog_build("berger7")
+    g = normal_metric(space)
+    assert not commuting_witness(space, g, starts=2).found
+    assert not min_eigenvalue_witness(space, g, draws=2).found
 
 
 def test_witness_numerator_matches_curvature():
