@@ -12,15 +12,16 @@ import numpy as np
 from homcurv import catalog_build
 from homcurv.certify import certify
 from homcurv.curvature import Curvature
-from homcurv.metrics import sample_metric
+from homcurv.metrics import metric_sampler
 from homcurv.obstructions import min_eigenvalue_witness
 
 
 def main():
     space = catalog_build("stiefel")
     print(f"{space.label}: dim p = {space.dim_p}")
+    sample = metric_sampler(space)
     for seed in range(5):
-        g = sample_metric(space, seed=seed)
+        g = sample(seed)
         evals = np.linalg.eigvalsh(g)
         w = min_eigenvalue_witness(space, g, seed=0)
         value = Curvature(space, g).sectional(w.x, w.y)

@@ -7,15 +7,16 @@ computes the phase for a few sampled metrics and checks the conjugated
 metric really commutes with the induced action.
 """
 from homcurv import catalog_build
-from homcurv.metrics import sample_metric
+from homcurv.metrics import metric_sampler
 from homcurv.obstructions import symmetrize_sp2_31
 
 
 def main():
     space = catalog_build("sp2circle", p=3, q=1)
     print(f"{space.label} (3,1): dim p = {space.dim_p}")
+    sample = metric_sampler(space)
     for seed in range(5):
-        g = sample_metric(space, seed=seed)
+        g = sample(seed)
         sym = symmetrize_sp2_31(space, g)
         print(f"seed {seed}: det(action on p) = {sym.det_involution:+.6f}, "
               f"phase = {sym.psi:+.6f}, commutation residual = "

@@ -1,15 +1,20 @@
 """Multistart descent search for nonpositively curved planes.
 
 Each start draws a random 2-frame and descends the sectional curvature of the
-spanned plane, with a Barzilai-Borwein trial step, Armijo backtracking and a
-G-orthonormalized frame after every accepted step.  All starts descend as one
-batch: every round evaluates the planes of the starts still running in one
-product against the curvature operator, while each start keeps its own step,
-its own backtracking and its own stop.  A start stops as `converged` when its
-gradient falls below grad_tol, as `stalled` when its value has stopped
-decreasing relative to the curvature scale (see STALL_TOL), as `line-search`
-when no step passes the Armijo test, at `max-iters`, or as `failed` when its
-frame degenerates or its values are not finite.
+spanned plane, with a Barzilai-Borwein trial step, nonmonotone Armijo
+backtracking and a G-orthonormalized frame after every accepted step.  The
+Armijo test compares a trial with the largest of the start's last NONMONOTONE
+values, not with its current one (Grippo-Lampariello-Lucidi), so most
+Barzilai-Borwein steps pass at once; a value may rise for a while, and each
+start reports the lowest value it reached and the plane where it reached it.
+All starts descend as one batch: every round evaluates the planes of the
+starts still running in one product against the curvature operator, while
+each start keeps its own step, its own backtracking and its own stop.  A
+start stops as `converged` when its gradient, measured in the metric's scale,
+falls below grad_tol, as `stalled` when its value has stopped moving either
+way relative to the curvature scale (see STALL_TOL), as `line-search` when no
+step passes the Armijo test, at `max-iters`, or as `failed` when its frame
+degenerates or its values are not finite.
 
 Finding a plane at or below the zero threshold is conclusive.  The threshold
 is zero_tol / λ_max(G): it equals zero_tol for the normal metric and, like
@@ -35,12 +40,15 @@ DISCLAIMER = ("a positive verdict means no nonpositively curved plane was "
 
 
 # A start stops as "stalled" after STALL_STEPS consecutive accepted steps that
-# each lower its sectional value by at most STALL_TOL times the larger of |sec|
-# and |M|_F / |G|_2^2; both scale like sectional curvature under G -> λG.  At
-# the minimum the gradient's rounding floor can stay above grad_tol, and such
-# starts would otherwise backtrack to max_iters without moving.
+# each move its sectional value, up or down, by at most STALL_TOL times the
+# larger of |sec| and |M|_F / |G|_2^2; both scale like sectional curvature
+# under G -> λG.  At the minimum the gradient's rounding floor can stay above
+# grad_tol, and such starts would otherwise backtrack to max_iters without
+# moving.
 STALL_TOL = 1e-13
 STALL_STEPS = 3
+# The Armijo reference of a start is the largest of its last NONMONOTONE values.
+NONMONOTONE = 10
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 40
 CONVERGED, STALLED, LINE_SEARCH, MAX_ITERS, FAILED = STOP_REASONS = (
@@ -54,7 +62,7 @@ class CertifyReport:
     min_sectional: float
     plane_x: tuple[float, ...]       # p-coordinates of the minimizing frame
     plane_y: tuple[float, ...]
-    start_minima: tuple              # per-start final value, None on failure
+    start_minima: tuple              # per-start lowest value, None on failure
     converged_starts: int            # starts that stopped "converged" or "stalled"
     stop_reasons: tuple[str, ...]    # per start, one of STOP_REASONS
     starts: int
@@ -96,11 +104,12 @@ def _trial_values(cv: PlaneForm, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _line_search(cv: PlaneForm, v: np.ndarray, grad: np.ndarray,
-                 sec: np.ndarray, gn2: np.ndarray, step: np.ndarray):
+                 ref: np.ndarray, gn2: np.ndarray, step: np.ndarray):
     """Armijo backtracking from every frame at once, each with its own step.
 
-    Returns the accepted trial frames (rows that found no step are unset)
-    and the mask of rows that found one.
+    A trial passes when its value is at most its row's reference `ref` less
+    ARMIJO * step * |grad|².  Returns the accepted trial frames (rows that
+    found no step are unset) and the mask of rows that found one.
     """
     n = v.shape[1] // 2
     trial = np.empty_like(v)
@@ -109,15 +118,15 @@ def _line_search(cv: PlaneForm, v: np.ndarray, grad: np.ndarray,
     for _ in range(MAX_BACKTRACKS):
         t = v - step[:, None] * grad
         vals = _trial_values(cv, t[:, :n], t[:, n:])
-        good = np.isfinite(vals) & (vals <= sec - ARMIJO * step * gn2)
+        good = np.isfinite(vals) & (vals <= ref - ARMIJO * step * gn2)
         if good.any():
             trial[rows[good]] = t[good]
             accepted[rows[good]] = True
             if good.all():
                 break
             keep = ~good
-            rows, v, grad, sec, gn2, step = (
-                a[keep] for a in (rows, v, grad, sec, gn2, step))
+            rows, v, grad, ref, gn2, step = (
+                a[keep] for a in (rows, v, grad, ref, gn2, step))
         step = 0.5 * step
     return trial, accepted
 
@@ -127,28 +136,36 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
     """Minimize the sectional value of every start's plane in one batch.
 
     `draws` holds one start frame per row, x then y.  Each start keeps its
-    own Barzilai-Borwein step, Armijo backtracking and stop rule; every round
-    evaluates all starts still descending together.  Projectors `within` for
-    x and y keep frames drawn in two equal or G-orthogonal subspaces, or in
-    one subspace and all of p, inside them.  Returns the final values, frames
-    and stop reasons, one per row (values of failed rows are unset).
+    own Barzilai-Borwein step, nonmonotone Armijo backtracking and stop rule;
+    every round evaluates all starts still descending together.  Projectors
+    `within` for x and y keep frames drawn in two equal or G-orthogonal
+    subspaces, or in one subspace and all of p, inside them.  Returns each
+    row's lowest value and the frame that reached it, and its stop reason
+    (a failed row's value is not a result).
+
+    Under G -> λG the G-orthonormal frames and the gradient both scale by
+    1/√λ, so the stop test |∇|² λ_max(G) <= grad_tol² and the first step
+    1 / max(1, |∇| √λ_max(G)) read the same on every multiple of a metric.
     """
     starts, n = len(draws), draws.shape[1] // 2
     final_sec = np.full(starts, np.nan)
     final_v = np.zeros_like(draws)
     reasons = [MAX_ITERS] * starts
-    stall_scale = float(np.linalg.norm(cv.operator)) / cv.max_eigenvalue ** 2
+    lam_max = cv.max_eigenvalue
+    stall_scale = float(np.linalg.norm(cv.operator)) / lam_max ** 2
 
     def retire(st, mask, reason):
         """Record why the masked rows stopped (one reason or one per row); drop them."""
         rows = st["row"][mask]
         for r, why in zip(rows, np.broadcast_to(reason, mask.shape)[mask]):
             reasons[r] = str(why)
-        final_sec[rows], final_v[rows] = st["sec"][mask], st["v"][mask]
+        final_sec[rows], final_v[rows] = st["best"][mask], st["best_v"][mask]
         return {k: a[~mask] for k, a in st.items()}
 
     st = {"row": np.arange(starts), "v": draws, "grad": np.zeros_like(draws),
-          "sec": np.full(starts, np.inf), "stalls": np.zeros(starts, dtype=int)}
+          "sec": np.full(starts, np.inf), "stalls": np.zeros(starts, dtype=int),
+          "best": np.full(starts, np.inf), "best_v": draws,
+          "recent": np.full((starts, NONMONOTONE), -np.inf)}
     trial = draws
     for it in range(max_iters + 1):
         # move every start to its G-orthonormalized trial frame
@@ -161,14 +178,18 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
             gx, gy = gx @ within[0], gy @ within[1]
         grad = np.concatenate([gx, gy], axis=1)
         gn2 = np.vecdot(grad, grad)
-        no_progress = (st["sec"] - sec
+        v = np.concatenate([x, y], axis=1)
+        no_progress = (np.abs(st["sec"] - sec)
                        <= STALL_TOL * np.maximum(np.abs(sec), stall_scale))
         stalls = np.where(no_progress, st["stalls"] + 1, 0)
-        st.update(prev_v=st["v"], prev_grad=st["grad"],
-                  v=np.concatenate([x, y], axis=1), sec=sec, grad=grad,
-                  gn2=gn2, stalls=stalls)
+        lower = sec < st["best"]
+        st["recent"][:, it % NONMONOTONE] = sec
+        st.update(prev_v=st["v"], prev_grad=st["grad"], v=v, sec=sec,
+                  grad=grad, gn2=gn2, stalls=stalls,
+                  best=np.where(lower, sec, st["best"]),
+                  best_v=np.where(lower[:, None], v, st["best_v"]))
         failed = ~np.isfinite(gn2 + sec)
-        converged = gn2 <= grad_tol * grad_tol
+        converged = gn2 * lam_max <= grad_tol * grad_tol
         done = failed | converged | (stalls >= STALL_STEPS)
         if done.any():
             st = retire(st, done, np.where(failed, FAILED, np.where(
@@ -176,15 +197,16 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
         if it == max_iters or not st["row"].size:
             break
         if it == 0:
-            step = 1.0 / np.maximum(1.0, np.sqrt(st["gn2"]))
+            step = 1.0 / np.maximum(1.0, np.sqrt(st["gn2"] * lam_max))
         else:
             dv, dg = st["v"] - st["prev_v"], st["grad"] - st["prev_grad"]
             denom = np.vecdot(dg, dg)
             step = np.divide(np.abs(np.vecdot(dv, dg)), denom,
                              out=np.ones_like(denom), where=denom > 1e-300)
             step = np.minimum(np.maximum(step, 1e-12), 1e6)
-        trial, accepted = _line_search(cv, st["v"], st["grad"], st["sec"],
-                                       st["gn2"], step)
+        trial, accepted = _line_search(cv, st["v"], st["grad"],
+                                       st["recent"].max(axis=1), st["gn2"],
+                                       step)
         if not accepted.all():
             st = retire(st, ~accepted, LINE_SEARCH)
             trial = trial[accepted]

@@ -28,7 +28,7 @@ from . import __version__
 from .certify import certify
 from .curvature import Curvature
 from .isotypic import decompose
-from .metrics import metric_from_spec, sample_metric, validate_metric
+from .metrics import metric_from_spec, metric_sampler, validate_metric
 from .numerics import rng_from
 from .obstructions import (
     commuting_witness,
@@ -245,8 +245,9 @@ def _cmd_obstruct(args, seed: int) -> int:
         except ValueError:
             raise CliError(f"bad sample metric spec {args.metric!r}")
         rows = []
+        draw = metric_sampler(space)
         for i in range(args.samples):
-            metric = sample_metric(space, seed=base + i)
+            metric = draw(base + i)
             row = {"metric_seed": base + i, "witness": None}
             for check in metric_checks:
                 doc, hit = _metric_check(check, space, metric, seed,

@@ -40,17 +40,28 @@ def diagonal_metric(decomposition: IsotypicDecomposition,
     return g
 
 
-def sample_metric(space: HomogeneousSpace, seed: int = 0) -> np.ndarray:
-    """Seeded random metric from the interior of the invariant cone.
+def metric_sampler(space: HomogeneousSpace):
+    """`draw(seed)`: seeded random metrics from the interior of the invariant cone.
 
-    A standard normal combination of the symmetric commutant basis, shifted
-    so the smallest eigenvalue is at least 0.1.
+    A draw is a standard normal combination of the symmetric commutant basis,
+    shifted so the smallest eigenvalue is at least 0.1.  The basis is built
+    once, here, so a loop over seeds builds it once per space.
     """
     comm = symmetric_commutant_basis(space)
-    rng = rng_from(seed)
-    g = np.einsum("c,cij->ij", rng.standard_normal(len(comm)), comm)
-    lam = np.linalg.eigvalsh(g)[0]
-    return g + (abs(lam) + 0.1) * np.eye(space.dim_p)
+    eye = np.eye(space.dim_p)
+
+    def draw(seed: int) -> np.ndarray:
+        g = np.einsum("c,cij->ij", rng_from(seed).standard_normal(len(comm)),
+                      comm)
+        lam = np.linalg.eigvalsh(g)[0]
+        return g + (abs(lam) + 0.1) * eye
+
+    return draw
+
+
+def sample_metric(space: HomogeneousSpace, seed: int = 0) -> np.ndarray:
+    """One draw of `metric_sampler(space)`."""
+    return metric_sampler(space)(seed)
 
 
 def metric_from_spec(space: HomogeneousSpace, spec: str,

@@ -279,6 +279,19 @@ def test_parser_is_built_once_and_left_unchanged(monkeypatch):
                                                fresh.stderr)
 
 
+def test_obstruct_samples_build_one_commutant_basis(monkeypatch):
+    import homcurv.metrics
+    real = homcurv.metrics.symmetric_commutant_basis
+    builds = []
+    monkeypatch.setattr(homcurv.metrics, "symmetric_commutant_basis",
+                        lambda space: builds.append(space.label) or real(space))
+    code, out, _ = _main_in_process("obstruct", "s3s3circle", "--p", "2",
+                                    "--q", "1", "--metric", "sample:7",
+                                    "--samples", "5", "--check", "commuting")
+    assert code == 0 and json.loads(out)["witness_count"] == 5
+    assert len(builds) == 1
+
+
 def test_obstruct_symmetrize_reports_phase():
     proc = run_cli("obstruct", "sp2circle", "--p", "3", "--q", "1",
                    "--metric", "sample:2", "--check", "symmetrize")

@@ -12,6 +12,7 @@ from homcurv.metrics import (
     diagonal_metric,
     equivariance_residual,
     metric_from_spec,
+    metric_sampler,
     normal_metric,
     sample_metric,
     validate_metric,
@@ -51,6 +52,24 @@ def test_sample_metric_seeded():
     assert not np.allclose(g1, g3)
     validate_metric(space, g1)
     assert np.linalg.eigvalsh(g1)[0] >= 0.1 - 1e-12
+
+
+def test_sampler_draws_are_the_sampled_metrics_bit_for_bit():
+    from homcurv.isotypic import symmetric_commutant_basis
+    from homcurv.numerics import rng_from
+    from homcurv.spaces import catalog_labels, listing_params
+    for label in catalog_labels():
+        space = catalog_build(label, **listing_params(label))
+        comm = symmetric_commutant_basis(space)
+        draw = metric_sampler(space)
+        for seed in range(30):
+            # a standard normal combination of the commutant basis, shifted
+            # so the smallest eigenvalue is at least 0.1
+            g = np.einsum("c,cij->ij",
+                          rng_from(seed).standard_normal(len(comm)), comm)
+            g = g + (abs(np.linalg.eigvalsh(g)[0]) + 0.1) * np.eye(space.dim_p)
+            assert draw(seed).tobytes() == g.tobytes(), (label, seed)
+            assert sample_metric(space, seed).tobytes() == g.tobytes()
 
 
 def test_validate_metric_reports_the_condition_number():
