@@ -217,7 +217,16 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
 def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
             starts: int = 64, max_iters: int = 500, grad_tol: float = 1e-10,
             zero_tol: float = 1e-9) -> CertifyReport:
-    """Search the plane Grassmannian for nonpositive sectional curvature."""
+    """Search the plane Grassmannian for nonpositive sectional curvature.
+
+    Raises ValueError for parameters that no search would back: starts < 1,
+    max_iters < 0, or a tolerance that is not finite.
+    """
+    if (starts < 1 or max_iters < 0
+            or not np.isfinite([grad_tol, zero_tol]).all()):
+        raise ValueError(f"need starts >= 1, max_iters >= 0 and finite "
+                         f"tolerances, got {starts}, {max_iters}, "
+                         f"{grad_tol}, {zero_tol}")
     t0 = time.perf_counter()
     cv = Curvature(space, metric)
     zero_threshold = zero_tol / cv.max_eigenvalue

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -269,6 +270,12 @@ def _cmd_obstruct(args, seed: int) -> int:
 
 def _cmd_certify(args, seed: int) -> int:
     _require_counts(args, "starts")
+    if args.max_iters < 0:
+        raise CliError(f"--max-iters must be at least 0, got {args.max_iters}")
+    for flag, value in (("--grad-tol", args.grad_tol),
+                        ("--zero-tol", args.zero_tol)):
+        if not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, got {value}")
     space = _space_from_args(args)
     metric = _resolve_metric(space, args.metric, seed)
     report = certify(space, metric, seed=seed, starts=args.starts,

@@ -7,18 +7,17 @@ curvature of the plane they span is a sum of four bracket terms,
 
 with B^±(x, y) = ½([x, Gy] ∓ [Gx, y]), the bi-invariant inner product in the
 first term and G or G⁻¹ on the p-parts in the others (G = Id collapses it to
-the familiar quarter/full split between the p- and h-parts of [x, y]).  Each
-term is quadratic in x and in y, so `Curvature` contracts all four once per
-(space, metric) into a 4-tensor, polarises it into an algebraic curvature
-tensor and keeps its restriction to a < b, c < d: the symmetric curvature
-operator M on Λ²p.  Every plane is then the quadratic form wᵀMw with
-w = x ∧ y, the numerator's gradients are (2Ωy, −2Ωx) with Ω the
-antisymmetric matrix of Mw, and sectional curvature divides by the metric
-Gram determinant.  `PlaneForm` does these evaluations for any symmetric
-operator and metric (the witness searches use it for |[x, y]|²).  The
-four-term formula is the operator's constructor, the tests' per-plane
-oracle, and the value of the rare plane so close to flat that wᵀMw is within
-its own rounding noise (see NOISE_BAND).
+the familiar quarter/full split between the p- and h-parts of [x, y]).
+`_bracket_terms` gives [x, y], [x, Gy] and [Gx, y] for any batch of planes.
+On the basis pairs (e_a, e_b) they make the curvature operator M on Λ²p: a
+4-tensor polarised into an algebraic curvature tensor and restricted to
+a < b, c < d.  A plane's numerator is then wᵀMw with w = x ∧ y, its
+gradients are (2Ωy, −2Ωx) with Ω the antisymmetric matrix of Mw, and
+sectional curvature divides by the metric Gram determinant.  `PlaneForm`
+does these evaluations for any symmetric operator and metric (the witness
+searches use it for |[x, y]|²).  On the planes themselves the brackets give
+`four_term_numerator`: one batch for the planes so close to flat that wᵀMw
+is within its own rounding noise (see NOISE_BAND), and the witness planes.
 """
 from __future__ import annotations
 
@@ -36,6 +35,33 @@ DEPENDENT_TOL = 1e-14   # Gram determinant relative to (xᵀGx)(yᵀGy)
 NOISE_BAND = 1e-8
 
 
+def _bracket_terms(space: HomogeneousSpace, metric: np.ndarray,
+                   x: np.ndarray, y: np.ndarray):
+    """[x, y], [x, Gy] and [Gx, y] in ambient coordinates for p-vectors x, y;
+    broadcasts over their leading axes."""
+    alg, p = space.ambient, space.p_basis
+    xa, ya = x @ p, y @ p
+    return (bracket(alg, xa, ya), bracket(alg, xa, y @ metric.T @ p),
+            bracket(alg, x @ metric.T @ p, ya))
+
+
+def four_term_numerator(space: HomogeneousSpace, metric: np.ndarray,
+                        metric_inv: np.ndarray, x: np.ndarray,
+                        y: np.ndarray):
+    """The numerator of the planes (x, y) from the four bracket terms, with
+    five brackets per batch; broadcasts over the leading axes of x and y."""
+    p = space.p_basis
+    c, x_gy, gx_y = _bracket_terms(space, metric, x, y)
+    xy = np.stack(np.broadcast_arrays(x, y))
+    # B⁺(x, x) = [x, Gx] and B⁺(y, y) = [y, Gy], on p
+    bxx, byy = bracket(space.ambient, xy @ p, xy @ metric.T @ p) @ p.T
+    cp, bp = c @ p.T, 0.5 * (x_gy - gx_y) @ p.T
+    return (0.5 * np.vecdot(x_gy + gx_y, c)
+            - 0.75 * np.vecdot(cp, cp @ metric.T)
+            + np.vecdot(bp, bp @ metric_inv.T)
+            - np.vecdot(bxx, byy @ metric_inv.T))
+
+
 def curvature_operator(space: HomogeneousSpace, metric: np.ndarray,
                        metric_inv: np.ndarray) -> np.ndarray:
     """Curvature operator on Λ²p in the basis e_a ∧ e_b, a < b, of p-coordinates.
@@ -43,28 +69,18 @@ def curvature_operator(space: HomogeneousSpace, metric: np.ndarray,
     Row (a, b) and column (c, d) hold R(e_a, e_b, e_c, e_d) in the convention
     where the numerator of the plane (x, y) is R(x, y, x, y).
     """
-    n = space.dim_p
-    p = space.p_basis
-    # [e_a, e_b] and [e_a, G e_b] in ambient coordinates, shape (n, n, dim k)
-    br = np.tensordot(p, np.tensordot(p, space.ambient.structure_constants,
-                                      axes=(1, 1)), axes=(1, 1))
-    br_g = np.einsum("ajk,jb->abk", br, metric)
-    g_br = -br_g.transpose(1, 0, 2)                  # [G e_a, e_b]
-    b_minus = 0.5 * (br_g + g_br)
-    b_plus = 0.5 * (br_g - g_br)
-
-    def rows(t):                                     # (n², dim k)
-        return t.reshape(n * n, -1)
-
-    def p_rows(t):                                   # (n², n), p-part only
-        return rows(t) @ p.T
-
-    # rows x_a y_b, columns x_c y_d
-    mixed = (rows(b_minus) @ rows(br).T
-             - 0.75 * p_rows(br) @ metric @ p_rows(br).T
-             + p_rows(b_plus) @ metric_inv @ p_rows(b_plus).T)
+    n, p = space.dim_p, space.p_basis
+    eye = np.eye(n)
+    # row (a, b): [e_a, e_b], [e_a, G e_b] and [G e_a, e_b], shape (n², dim k)
+    br, br_g, g_br = (t.reshape(n * n, -1) for t in
+                      _bracket_terms(space, metric, eye[:, None], eye[None]))
+    # p-parts of [e_a, e_b], B⁺(e_a, e_b) and [e_a, G e_b] (B⁺(x, x) = [x, Gx])
+    br_p, bp, br_g_p = br @ p.T, 0.5 * (br_g - g_br) @ p.T, br_g @ p.T
+    # rows x_a y_b, columns x_c y_d: the B⁻, [x, y]_p and B⁺(x, y) terms
+    mixed = (0.5 * (br_g + g_br) @ br.T - 0.75 * br_p @ metric @ br_p.T
+             + bp @ metric_inv @ bp.T)
     # rows x_a x_b, columns y_c y_d
-    split = p_rows(br_g) @ metric_inv @ p_rows(br_g).T
+    split = br_g_p @ metric_inv @ br_g_p.T
     # s[a, b, c, d] x_a x_b y_c y_d sums to the numerator
     s = mixed.reshape(n, n, n, n).transpose(0, 2, 1, 3) - split.reshape(n, n, n, n)
     s = 0.5 * (s + s.transpose(1, 0, 2, 3))
@@ -75,14 +91,6 @@ def curvature_operator(space: HomogeneousSpace, metric: np.ndarray,
     return 0.5 * (op + op.T)        # exactly symmetric, as the gradients assume
 
 
-def _twisted_brackets(space: HomogeneousSpace, metric: np.ndarray,
-                      x: np.ndarray, y: np.ndarray):
-    """[x, Gy] and [Gx, y] in ambient coordinates, for one pair of p-vectors."""
-    pt, alg = space.p_basis.T, space.ambient
-    return (bracket(alg, pt @ x, pt @ (metric @ y)),
-            bracket(alg, pt @ (metric @ x), pt @ y))
-
-
 class PlaneForm:
     """Planes evaluated against a symmetric operator M on Λ²p and a metric G.
 
@@ -91,11 +99,10 @@ class PlaneForm:
     batch with none.  Every evaluation is a contraction.
     """
 
-    def __init__(self, operator: np.ndarray, metric: np.ndarray,
-                 max_eigenvalue: float):
+    def __init__(self, operator: np.ndarray, metric: np.ndarray):
         self.operator = operator
         self.gm = metric
-        self.max_eigenvalue = max_eigenvalue
+        self.max_eigenvalue = float(np.linalg.eigvalsh(metric)[-1])
         # vec(x ⊗ y) @ W = x ∧ y, and (Mw) @ Wᵀ is vec(Ω) for the antisymmetric
         # Ω with upper triangle Mw; each entry has one nonzero term, so both
         # products are exact
@@ -152,11 +159,6 @@ class PlaneForm:
         d = self._gram_terms(x, y, check=True)[-1]
         return self.numerator(x, y) / d
 
-    def numerator_gradient(self, x: np.ndarray,
-                           y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients of the numerator in both plane vectors."""
-        return self._gradients(self._wedge(x, y) @ self.operator, x, y)
-
     def sectional_gradient(self, x: np.ndarray, y: np.ndarray):
         """Sectional value plus its gradients in both plane vectors."""
         gx_m, gy_m, xx, yy, xy, d = self._gram_terms(x, y, check=True)
@@ -177,29 +179,17 @@ class Curvature(PlaneForm):
         if metric.shape != (space.dim_p, space.dim_p):
             raise ValueError(f"metric shape {metric.shape} does not match "
                              f"dim p = {space.dim_p}")
-        _, eigs = check_symmetric_positive(metric)
+        check_symmetric_positive(metric)
         self.space = space
         self.gm_inv = np.linalg.inv(metric)
         super().__init__(curvature_operator(space, metric, self.gm_inv),
-                         metric, float(eigs[-1]))
+                         metric)
         self._noise_scale = NOISE_BAND * float(np.linalg.norm(self.operator))
 
     # bench/spans.py times these by their names on this class
     numerator = PlaneForm.numerator
     sectional = PlaneForm.sectional
     sectional_gradient = PlaneForm.sectional_gradient
-
-    def _four_term_numerator(self, x: np.ndarray, y: np.ndarray) -> float:
-        p = self.space.p_basis
-        x_gy, gx_y = _twisted_brackets(self.space, self.gm, x, y)
-        c = bracket(self.space.ambient, p.T @ x, p.T @ y)
-        cp = p @ c
-        b_minus = 0.5 * (x_gy + gx_y)
-        b_plus = p @ (0.5 * (x_gy - gx_y))
-        bxx = p @ _twisted_brackets(self.space, self.gm, x, x)[0]
-        byy = p @ _twisted_brackets(self.space, self.gm, y, y)[0]
-        return float(b_minus @ c - 0.75 * cp @ self.gm @ cp
-                     + b_plus @ self.gm_inv @ b_plus - bxx @ self.gm_inv @ byy)
 
     def _value(self, w: np.ndarray, mw: np.ndarray, x: np.ndarray,
                y: np.ndarray):
@@ -208,22 +198,16 @@ class Curvature(PlaneForm):
         flagged = np.abs(f) <= self._noise_scale * np.vecdot(w, w)
         if not flagged.any():
             return f
+        x, y = np.broadcast_arrays(x, y)
         f = np.array(f)
-        for idx in map(tuple, np.argwhere(flagged)):
-            f[idx] = self._four_term_numerator(x[idx], y[idx])
+        f[flagged] = four_term_numerator(self.space, self.gm, self.gm_inv,
+                                         x[flagged], y[flagged])
         return f[()]
-
-
-def sectional_curvature(space: HomogeneousSpace, metric: np.ndarray,
-                        x: np.ndarray, y: np.ndarray) -> float:
-    return Curvature(space, metric).sectional(x, y)
 
 
 def b_plus(space: HomogeneousSpace, metric: np.ndarray,
            x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """B⁺(x, y) = ½([x, Gy] − [Gx, y]) in unprojected ambient coordinates.
-
-    Needs only two brackets, so it builds no curvature operator.
-    """
-    x_gy, gx_y = _twisted_brackets(space, np.asarray(metric, dtype=float), x, y)
+    """B⁺(x, y) = ½([x, Gy] − [Gx, y]) in unprojected ambient coordinates,
+    from brackets alone: it builds no curvature operator."""
+    _, x_gy, gx_y = _bracket_terms(space, np.asarray(metric, float), x, y)
     return 0.5 * (x_gy - gx_y)

@@ -111,7 +111,9 @@ def equivariance_residual(space: HomogeneousSpace, metric: np.ndarray) -> float:
 
 def check_symmetric_positive(metric: np.ndarray) -> tuple[float, np.ndarray]:
     """Symmetry residual and eigenvalues; raises ValueError unless the matrix
-    is symmetric (to 1e-9) and positive definite."""
+    is finite, symmetric (to 1e-9) and positive definite."""
+    if not np.isfinite(metric).all():
+        raise ValueError("metric has non-finite entries")
     sym = float(np.max(np.abs(metric - metric.T)))
     eigs = np.linalg.eigvalsh((metric + metric.T) / 2)
     if sym > 1e-9:

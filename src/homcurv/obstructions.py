@@ -34,7 +34,7 @@ from .algebra import (
     rank,
 )
 from .certify import FAILED, _descend
-from .curvature import Curvature, PlaneForm
+from .curvature import PlaneForm, four_term_numerator
 from .metrics import conjugate_metric
 from .numerics import cluster_values, kernel_and_gap, nullspace, rng_from
 from .spaces import HomogeneousSpace
@@ -85,7 +85,7 @@ def _commutator_form(space: HomogeneousSpace) -> PlaneForm:
     """|[x, y]|² / Gram as a plane form: BᵀB with B(e_a ∧ e_b) = [e_a, e_b], G = Id."""
     i, j = np.triu_indices(space.dim_p, 1)
     b = bracket(space.ambient, space.p_basis[i], space.p_basis[j])
-    return PlaneForm(b @ b.T, np.eye(space.dim_p), 1.0)
+    return PlaneForm(b @ b.T, np.eye(space.dim_p))
 
 
 def _bracket_ratio(space: HomogeneousSpace, x: np.ndarray,
@@ -263,10 +263,10 @@ def commuting_witness(space: HomogeneousSpace, metric: np.ndarray,
     pair, decided, objective, proved = _find_pair(space, blocks, starts)
     if pair is not None:
         x, y, k = pair
+        num = four_term_numerator(space, metric, np.linalg.inv(metric), x, y)
         return PlaneWitness(
             kind="commuting", found=True, objective=float(objective),
-            numerator=Curvature(space, metric).numerator(x, y), x=x, y=y,
-            decided=decided,
+            numerator=num, x=x, y=y, decided=decided,
             message=f"commuting eigenvector pair in eigenspaces {pairs[k]}")
     if decided == "exact":
         msg = (f"no commuting pair: all {proved} eigenspace pairs proved "
@@ -307,20 +307,17 @@ def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
                     f"(eigenvalue {lam:.6g})")
 
     x, z, _ = pair
-    cv = Curvature(space, metric)
-    y = cv.gm_inv @ z
+    metric_inv = np.linalg.inv(metric)
+    y = metric_inv @ z
     y /= np.linalg.norm(y)
-    num = cv.numerator(x, y)
-    if num > NONPOS_TOL:
-        return PlaneWitness(
-            kind="min-eigenvalue", found=False, objective=float(objective),
-            numerator=num, x=x, y=y, decided=decided,
-            message=f"commuting partner found but numerator {num:.3e} "
-                    f"exceeds {NONPOS_TOL}")
+    num = four_term_numerator(space, metric, metric_inv, x, y)
+    found = bool(num <= NONPOS_TOL)
     return PlaneWitness(
-        kind="min-eigenvalue", found=True, objective=float(objective),
+        kind="min-eigenvalue", found=found, objective=float(objective),
         numerator=num, x=x, y=y, decided=decided,
-        message=f"nonpositive plane at the bottom eigenvalue {lam:.6g}")
+        message=(f"nonpositive plane at the bottom eigenvalue {lam:.6g}"
+                 if found else f"commuting partner found but numerator "
+                 f"{num:.3e} exceeds {NONPOS_TOL}"))
 
 
 def rank_parity_check(space: HomogeneousSpace) -> RankParity:

@@ -87,6 +87,15 @@ def test_disclaimer_present():
     assert "not a certificate" in r.disclaimer
 
 
+@pytest.mark.parametrize("bad", [{"max_iters": -1}, {"starts": 0},
+                                 {"grad_tol": np.nan}, {"zero_tol": np.inf}])
+def test_rejects_parameters_that_void_the_verdict(bad):
+    # no evaluation, or no comparison with the threshold, would back it
+    space = catalog_build("berger7")
+    with pytest.raises(ValueError, match="max_iters >= 0"):
+        certify(space, normal_metric(space), **{"starts": 2, **bad})
+
+
 class _DegenerateDraws:
     """Stands in for a start's generator: its x and y draws coincide."""
 

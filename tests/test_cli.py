@@ -226,6 +226,36 @@ def test_certify_rejects_starts_below_one():
     assert "--starts must be at least 1" in stderr_error(proc)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["berger7", "--max-iters", "-1"], "--max-iters must be at least 0"),
+    (["berger7", "--grad-tol", "inf"], "--grad-tol must be finite"),
+    (["stiefel", "--metric", "sample:0", "--zero-tol", "nan"],
+     "--zero-tol must be finite"),
+])
+def test_certify_rejects_parameters_that_void_the_verdict(args, message):
+    proc = run_cli("certify", *args, "--starts", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in stderr_error(proc)
+
+
+@pytest.mark.parametrize("command, bad", [
+    (["metric"], math.inf),
+    (["curvature", "--plane", "random:1"], math.inf),
+    (["certify", "--starts", "2"], math.nan),
+])
+def test_non_finite_metric_files_are_usage_errors(tmp_path, command, bad):
+    matrix = [[bad if i == j == 0 else float(i == j) for j in range(7)]
+              for i in range(7)]
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    proc = run_cli(command[0], "berger7", "--metric", f"file:{path}",
+                   *command[1:])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "non-finite" in stderr_error(proc)
+
+
 def test_obstruct_quiet_on_positive_space():
     proc = run_cli("obstruct", "berger7", "--check", "commuting",
                    "--starts", "4")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from homcurv import bracket, catalog_build, coords_of
-from homcurv.curvature import NOISE_BAND, Curvature, b_plus, sectional_curvature
+from homcurv.curvature import NOISE_BAND, Curvature, b_plus
+from homcurv.curvature import four_term_numerator as batched_numerator
 from homcurv.metrics import normal_metric, sample_metric
 from homcurv.spaces import catalog_labels, listing_params
 
@@ -51,10 +52,13 @@ def test_operator_matches_four_term_oracle(label):
     rng = np.random.default_rng(404)
     for metric in (normal_metric(space), sample_metric(space, seed=3)):
         cv = Curvature(space, metric)
-        for _ in range(10):
-            x, y = rng.standard_normal((2, space.dim_p))
+        xs, ys = rng.standard_normal((2, 10, space.dim_p))
+        batch = batched_numerator(space, metric, np.linalg.inv(metric), xs, ys)
+        assert batch.shape == (10,)
+        for x, y, got in zip(xs, ys, batch):
             ref = four_term_numerator(space, metric, x, y)
             assert abs(cv.numerator(x, y) - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 @PROPERTY_SETTINGS
@@ -172,30 +176,38 @@ def _flag_normal():
 
 
 @PROPERTY_SETTINGS
-@given(label=st.sampled_from(catalog_labels() + ["flag-near-flat"]),
+@given(label=st.sampled_from(catalog_labels() + ["flag-near-flat",
+                                                 "flag-near-flat-2d"]),
        seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
 @example(label="flag-near-flat", seed=0, rows=5)
+@example(label="flag-near-flat-2d", seed=0, rows=4)
 def test_batch_matches_per_plane(label, seed, rows):
     rng = np.random.default_rng(seed)
-    if label == "flag-near-flat":
-        # rows 1e-6 from the flag manifold's flat plane, inside the noise
-        # band, mixed with random planes
+    if label.startswith("flag-near-flat"):
+        # planes 1e-6 from the flag manifold's flat plane, inside the noise
+        # band, mixed with random planes; "-2d" lays them out as rows x 3
         space, cv = _flag_normal()
         _, x0, w0 = _flag_flat_plane(space)
-        x, y = rng.standard_normal((2, rows, space.dim_p))
-        near = rng.random(rows) < 0.5
-        near[0] = True
+        lead = (rows, 3) if label.endswith("2d") else (rows,)
+        x, y = rng.standard_normal((2, *lead, space.dim_p))
+        near = rng.random(lead) < 0.5
+        near.flat[0] = True
         x[near] = x0 + 1e-6 * rng.standard_normal((near.sum(), space.dim_p))
         y[near] = w0 + 1e-6 * rng.standard_normal((near.sum(), space.dim_p))
-        wedge2 = (x * x).sum(1) * (y * y).sum(1) - (x * y).sum(1) ** 2
+        wedge2 = (x * x).sum(-1) * (y * y).sum(-1) - (x * y).sum(-1) ** 2
         band = NOISE_BAND * np.linalg.norm(cv.operator) * wedge2
-        assert np.all(np.abs(cv.numerator(x, y)[near]) <= band[near])
+        num = cv.numerator(x, y)
+        assert num.shape == lead
+        assert np.all(np.abs(num[near]) <= band[near])
+        for k in zip(*np.nonzero(near)):
+            ref = four_term_numerator(space, cv.gm, x[k], y[k])
+            assert abs(num[k] - ref) <= 1e-8 * abs(ref)
     else:
         space, cv = _sampled(label)
         x, y = rng.standard_normal((2, rows, space.dim_p))
     sec, gx, gy = cv.sectional_gradient(x, y)
     assert np.array_equal(cv.sectional(x, y), sec)
-    for k in range(rows):
+    for k in np.ndindex(sec.shape):
         ref, rx, ry = cv.sectional_gradient(x[k], y[k])
         assert abs(sec[k] - ref) <= 1e-12 * abs(ref)
         scale = max(1.0, np.max(np.abs(rx)), np.max(np.abs(ry)))
@@ -230,15 +242,10 @@ def test_gradients_match_finite_differences():
         cv = Curvature(space, sample_metric(space, seed=4))
         for _ in range(3):
             x, y = rng.standard_normal((2, n))
-            fx, fy = cv.numerator_gradient(x, y)
             sec, sx, sy = cv.sectional_gradient(x, y)
             for k in range(n):
                 e = np.zeros(n)
                 e[k] = h
-                ref = (cv.numerator(x + e, y) - cv.numerator(x - e, y)) / (2 * h)
-                assert abs(fx[k] - ref) <= 1e-5 * max(1.0, abs(ref))
-                ref = (cv.numerator(x, y + e) - cv.numerator(x, y - e)) / (2 * h)
-                assert abs(fy[k] - ref) <= 1e-5 * max(1.0, abs(ref))
                 ref = (cv.sectional(x + e, y) - cv.sectional(x - e, y)) / (2 * h)
                 assert abs(sx[k] - ref) <= 1e-5 * max(1.0, abs(ref))
                 ref = (cv.sectional(x, y + e) - cv.sectional(x, y - e)) / (2 * h)
@@ -281,11 +288,3 @@ def test_rejects_wrong_metric_shape():
     space = catalog_build("wallach6")
     with pytest.raises(ValueError):
         Curvature(space, np.eye(5))
-
-
-def test_sectional_curvature_convenience():
-    space = catalog_build("berger7")
-    rng = np.random.default_rng(1)
-    x, y = rng.standard_normal((2, 7))
-    g = normal_metric(space)
-    assert sectional_curvature(space, g, x, y) == Curvature(space, g).sectional(x, y)

@@ -90,6 +90,15 @@ def test_sample_metric_spans_cone():
             validate_metric(space, sample_metric(space, seed=seed))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_validate_rejects_non_finite_entries(bad):
+    space = catalog_build("berger7")
+    g = np.eye(7)
+    g[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_metric(space, g)
+
+
 def test_equivariance_residual_flags_generic_symmetric():
     space = catalog_build("sp2circle", p=3, q=1)
     rng = np.random.default_rng(3)

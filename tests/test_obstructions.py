@@ -8,6 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import homcurv.curvature as curvature
 import homcurv.obstructions as obs
 from homcurv import bracket, build_algebra, catalog_build, make_space
 from homcurv.curvature import Curvature
@@ -132,15 +133,20 @@ def test_overlapping_block_is_searched_not_decided():
     assert not w.found and w.decided == "search"
 
 
-def test_no_curvature_built_without_a_witness(monkeypatch):
-    def no_curvature(*args):
-        raise AssertionError("Curvature built")
+def test_witnesses_build_no_curvature_operator(monkeypatch):
+    # a found witness plane's numerator comes from its four bracket terms
+    def no_operator(*args):
+        raise AssertionError("curvature operator built")
 
-    monkeypatch.setattr(obs, "Curvature", no_curvature)
+    monkeypatch.setattr(curvature, "curvature_operator", no_operator)
     space = catalog_build("berger7")
     g = normal_metric(space)
     assert not commuting_witness(space, g, starts=2).found
     assert not min_eigenvalue_witness(space, g, draws=2).found
+    space = catalog_build("stiefel")
+    g = sample_metric(space, seed=3)
+    assert min_eigenvalue_witness(space, g, seed=3).found
+    assert commuting_witness(catalog_build("wallach6"), np.eye(6)).found
 
 
 def test_witness_numerator_matches_curvature():
