@@ -9,12 +9,16 @@ Barzilai-Borwein steps pass at once; a value may rise for a while, and each
 start reports the lowest value it reached and the plane where it reached it.
 All starts descend as one batch: every round evaluates the planes of the
 starts still running in one product against the curvature operator, while
-each start keeps its own step, its own backtracking and its own stop.  A
-start stops as `converged` when its gradient, measured in the metric's scale,
-falls below grad_tol, as `stalled` when its value has stopped moving either
-way relative to the curvature scale (see STALL_TOL), as `line-search` when no
-step passes the Armijo test, at `max-iters`, or as `failed` when its frame
-degenerates or its values are not finite.
+each start keeps its own step, its own backtracking and its own stop.  Every
+trial is evaluated once, at its G-orthonormal frame, where the Gram
+determinant is 1: the value and the gradients come from one call, and an
+accepted trial hands both to the next round.  A trial whose Gram determinant
+fails the dependence test (DEPENDENT_TOL) or whose value is not finite is
+rejected.  A start stops as `converged` when its gradient, measured in the
+metric's scale, falls below grad_tol, as `stalled` when its value has stopped
+moving either way relative to the curvature scale (see STALL_TOL), as
+`line-search` when no step passes the Armijo test, at `max-iters`, or as
+`failed` when its start frame is dependent or its values are not finite.
 
 Finding a plane at or below the zero threshold is conclusive.  The threshold
 is zero_tol / λ_max(G): it equals zero_tol for the normal metric and, like
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import Curvature, PlaneForm
+from .curvature import DEPENDENT_TOL, Curvature, PlaneForm
 from .numerics import rng_from
 from .spaces import HomogeneousSpace
 
@@ -76,59 +80,68 @@ class CertifyReport:
 
 
 def _g_orthonormalize(gm: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """G-orthonormal frames of the rows' planes, and the mask of degenerate rows.
+    """G-orthonormal frames of the rows' planes, their G-images and the mask
+    of dependent rows.
 
-    A row is degenerate when projecting x out of y leaves at most 1e-12 of
-    the G-norm of y, a test that G -> λG leaves unchanged.
+    A row is dependent when the Gram determinant of its plane is at most
+    DEPENDENT_TOL times |x|²_G |y|²_G, a test that G -> λG leaves unchanged.
     """
     gx = x @ gm.T
     norm = np.sqrt(np.vecdot(x, gx))[:, None]
     x, gx = x / norm, gx / norm
     along = np.vecdot(y, gx)
     y = y - along[:, None] * x
-    ny = np.sqrt(np.vecdot(y, y @ gm.T))
-    # |y|_G² = along² + ny², so this compares ny with 1e-12 |y|_G
-    degenerate = ny <= 1e-12 * np.abs(along)
-    return x, y / np.where(degenerate, 1.0, ny)[:, None], degenerate
+    gy = y @ gm.T
+    ny2 = np.vecdot(y, gy)
+    # the Gram determinant of (x̂, y) is ny², and |y|²_G = along² + ny²
+    dependent = ny2 <= DEPENDENT_TOL * (along * along + ny2)
+    ny = np.sqrt(np.where(dependent, 1.0, ny2))[:, None]
+    return x, y / ny, gx, gy / ny, dependent
 
 
-def _trial_values(cv: PlaneForm, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sectional values of the rows' planes, +inf where a plane is degenerate."""
-    try:
-        return cv.sectional(x, y)
-    except ValueError:
-        keep = ~cv.dependent(x, y)
-        vals = np.full(len(x), np.inf)
-        vals[keep] = cv.sectional(x[keep], y[keep])
-        return vals
+def _evaluate(cv: PlaneForm, frames: np.ndarray, within: tuple | None = None):
+    """Move every row (x then y) to its G-orthonormal frame and evaluate it.
+
+    Returns the frames, their sectional values (+inf where a row is dependent
+    or its value is not finite) and their gradients, projected by `within`.
+    """
+    n = frames.shape[1] // 2
+    x, y, gx, gy, dependent = _g_orthonormalize(cv.gm, frames[:, :n],
+                                                frames[:, n:])
+    sec, dx, dy = cv.orthonormal_gradient(x, y, gx, gy)
+    if within is not None:
+        dx, dy = dx @ within[0], dy @ within[1]
+    sec = np.where(dependent | ~np.isfinite(sec), np.inf, sec)
+    return (np.concatenate([x, y], axis=1), sec,
+            np.concatenate([dx, dy], axis=1))
 
 
 def _line_search(cv: PlaneForm, v: np.ndarray, grad: np.ndarray,
-                 ref: np.ndarray, gn2: np.ndarray, step: np.ndarray):
+                 ref: np.ndarray, gn2: np.ndarray, step: np.ndarray,
+                 within: tuple | None):
     """Armijo backtracking from every frame at once, each with its own step.
 
     A trial passes when its value is at most its row's reference `ref` less
-    ARMIJO * step * |grad|².  Returns the accepted trial frames (rows that
-    found no step are unset) and the mask of rows that found one.
+    ARMIJO * step * |grad|²; rows that fail halve their step and try again.
+    Returns the mask of rows that found a step and, on those rows, the
+    accepted trial's G-orthonormal frame, value and gradient (the other rows
+    hold a rejected trial).
     """
-    n = v.shape[1] // 2
-    trial = np.empty_like(v)
-    accepted = np.zeros(len(v), dtype=bool)
-    rows = np.arange(len(v))
-    for _ in range(MAX_BACKTRACKS):
-        t = v - step[:, None] * grad
-        vals = _trial_values(cv, t[:, :n], t[:, n:])
-        good = np.isfinite(vals) & (vals <= ref - ARMIJO * step * gn2)
-        if good.any():
-            trial[rows[good]] = t[good]
-            accepted[rows[good]] = True
-            if good.all():
-                break
-            keep = ~good
-            rows, v, grad, ref, gn2, step = (
-                a[keep] for a in (rows, v, grad, ref, gn2, step))
+    frames, secs, grads = _evaluate(cv, v - step[:, None] * grad, within)
+    accepted = secs <= ref - ARMIJO * step * gn2
+    rows = np.flatnonzero(~accepted)
+    for _ in range(MAX_BACKTRACKS - 1):
+        if not rows.size:
+            break
         step = 0.5 * step
-    return trial, accepted
+        t, vals, g = _evaluate(cv, v[rows] - step[rows, None] * grad[rows],
+                               within)
+        good = vals <= ref[rows] - ARMIJO * step[rows] * gn2[rows]
+        done = rows[good]
+        frames[done], secs[done], grads[done] = t[good], vals[good], g[good]
+        accepted[done] = True
+        rows = rows[~good]
+    return accepted, frames, secs, grads
 
 
 def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
@@ -143,11 +156,14 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
     row's lowest value and the frame that reached it, and its stop reason
     (a failed row's value is not a result).
 
-    Under G -> λG the G-orthonormal frames and the gradient both scale by
-    1/√λ, so the stop test |∇|² λ_max(G) <= grad_tol² and the first step
-    1 / max(1, |∇| √λ_max(G)) read the same on every multiple of a metric.
+    The start frames are evaluated once; after that every frame, value and
+    gradient is the line search's accepted trial, evaluated at its
+    G-orthonormal frame.  Under G -> λG those frames and the gradient both
+    scale by 1/√λ, so the stop test |∇|² λ_max(G) <= grad_tol² and the first
+    step 1 / max(1, |∇| √λ_max(G)) read the same on every multiple of a
+    metric.
     """
-    starts, n = len(draws), draws.shape[1] // 2
+    starts = len(draws)
     final_sec = np.full(starts, np.nan)
     final_v = np.zeros_like(draws)
     reasons = [MAX_ITERS] * starts
@@ -166,19 +182,15 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
           "sec": np.full(starts, np.inf), "stalls": np.zeros(starts, dtype=int),
           "best": np.full(starts, np.inf), "best_v": draws,
           "recent": np.full((starts, NONMONOTONE), -np.inf)}
-    trial = draws
+    v, sec, grad = _evaluate(cv, draws, within)
+    # a dependent or non-finite start has no value for the stall test to
+    # compare; it fails before the first round
+    failed = np.isinf(sec)
+    if failed.any():
+        st = retire(st, failed, FAILED)
+        v, sec, grad = v[~failed], sec[~failed], grad[~failed]
     for it in range(max_iters + 1):
-        # move every start to its G-orthonormalized trial frame
-        x, y, degenerate = _g_orthonormalize(cv.gm, trial[:, :n], trial[:, n:])
-        if degenerate.any():
-            st = retire(st, degenerate, FAILED)
-            x, y = x[~degenerate], y[~degenerate]
-        sec, gx, gy = cv.sectional_gradient(x, y)
-        if within is not None:
-            gx, gy = gx @ within[0], gy @ within[1]
-        grad = np.concatenate([gx, gy], axis=1)
         gn2 = np.vecdot(grad, grad)
-        v = np.concatenate([x, y], axis=1)
         no_progress = (np.abs(st["sec"] - sec)
                        <= STALL_TOL * np.maximum(np.abs(sec), stall_scale))
         stalls = np.where(no_progress, st["stalls"] + 1, 0)
@@ -188,7 +200,7 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
                   grad=grad, gn2=gn2, stalls=stalls,
                   best=np.where(lower, sec, st["best"]),
                   best_v=np.where(lower[:, None], v, st["best_v"]))
-        failed = ~np.isfinite(gn2 + sec)
+        failed = ~np.isfinite(gn2)
         converged = gn2 * lam_max <= grad_tol * grad_tol
         done = failed | converged | (stalls >= STALL_STEPS)
         if done.any():
@@ -204,12 +216,12 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
             step = np.divide(np.abs(np.vecdot(dv, dg)), denom,
                              out=np.ones_like(denom), where=denom > 1e-300)
             step = np.minimum(np.maximum(step, 1e-12), 1e6)
-        trial, accepted = _line_search(cv, st["v"], st["grad"],
-                                       st["recent"].max(axis=1), st["gn2"],
-                                       step)
+        accepted, v, sec, grad = _line_search(
+            cv, st["v"], st["grad"], st["recent"].max(axis=1), st["gn2"],
+            step, within)
         if not accepted.all():
             st = retire(st, ~accepted, LINE_SEARCH)
-            trial = trial[accepted]
+            v, sec, grad = v[accepted], sec[accepted], grad[accepted]
     retire(st, np.ones(st["row"].size, dtype=bool), MAX_ITERS)
     return final_sec, final_v, reasons
 

@@ -131,6 +131,8 @@ def _resolve_plane(space, spec: str) -> tuple[np.ndarray, np.ndarray]:
         raise CliError(f"cannot read plane from {spec}: {exc}")
     if x.shape != (space.dim_p,) or y.shape != (space.dim_p,):
         raise CliError(f"plane vectors must have length {space.dim_p}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise CliError(f"--plane {spec}: plane vectors have non-finite entries")
     return x, y
 
 
@@ -182,6 +184,13 @@ def _cmd_curvature(args, seed: int) -> int:
     metric = _resolve_metric(space, args.metric, seed)
     x, y = _resolve_plane(space, args.plane)
     cv = Curvature(space, metric)
+    # the vectors are finite, so a Gram determinant that is not finite
+    # overflowed, and the dependence test would misreport it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = cv.gram(x, y)
+    if not np.isfinite(gram):
+        raise CliError(f"--plane {args.plane}: the Gram determinant of the "
+                       f"plane vectors overflows; scale them down")
     try:
         sec = cv.sectional(x, y)
     except ValueError as exc:
@@ -190,7 +199,7 @@ def _cmd_curvature(args, seed: int) -> int:
         "label": space.label,
         "sectional": sec,
         "numerator": cv.numerator(x, y),
-        "gram": cv.gram(x, y),
+        "gram": gram,
     }), args.output)
     return 0
 

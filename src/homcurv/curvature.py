@@ -13,11 +13,15 @@ On the basis pairs (e_a, e_b) they make the curvature operator M on Λ²p: a
 4-tensor polarised into an algebraic curvature tensor and restricted to
 a < b, c < d.  A plane's numerator is then wᵀMw with w = x ∧ y, its
 gradients are (2Ωy, −2Ωx) with Ω the antisymmetric matrix of Mw, and
-sectional curvature divides by the metric Gram determinant.  `PlaneForm`
+sectional curvature divides by the metric Gram determinant d.  `PlaneForm`
 does these evaluations for any symmetric operator and metric (the witness
-searches use it for |[x, y]|²).  On the planes themselves the brackets give
-`four_term_numerator`: one batch for the planes so close to flat that wᵀMw
-is within its own rounding noise (see NOISE_BAND), and the witness planes.
+searches use it for |[x, y]|²), with one quotient rule for the gradients:
+`sectional_gradient` feeds it the Gram terms of any frame, and
+`orthonormal_gradient`, which the plane searches call on every trial, feeds
+it a G-orthonormal frame's G-images with d = 1.  On the planes themselves
+the brackets give `four_term_numerator`: one batch for the planes so close
+to flat that wᵀMw is within its own rounding noise (see NOISE_BAND), and the
+witness planes.
 """
 from __future__ import annotations
 
@@ -140,12 +144,18 @@ class PlaneForm:
             raise ValueError("plane vectors are numerically dependent")
         return gx, gy, xx, yy, xy, d
 
-    # public evaluations ----------------------------------------------------
+    def _quotient_rule(self, x: np.ndarray, y: np.ndarray, dx: np.ndarray,
+                       dy: np.ndarray, d):
+        """Sectional value and gradients of frames with Gram determinant d,
+        given ½∇d as dx, dy (the G-images of x and y at orthonormal frames)."""
+        w = self._wedge(x, y)
+        mw = w @ self.operator
+        sec = self._value(w, mw, x, y) / d
+        fx, fy = self._gradients(mw, x, y)
+        s2, d = 2 * sec[..., None], np.asarray(d)[..., None]
+        return sec, (fx - s2 * dx) / d, (fy - s2 * dy) / d
 
-    def dependent(self, x: np.ndarray, y: np.ndarray):
-        """True for each plane whose two vectors are numerically dependent."""
-        _, _, xx, yy, _, d = self._gram_terms(x, y)
-        return d <= DEPENDENT_TOL * xx * yy
+    # public evaluations ----------------------------------------------------
 
     def numerator(self, x: np.ndarray, y: np.ndarray):
         w = self._wedge(x, y)
@@ -161,14 +171,18 @@ class PlaneForm:
 
     def sectional_gradient(self, x: np.ndarray, y: np.ndarray):
         """Sectional value plus its gradients in both plane vectors."""
-        gx_m, gy_m, xx, yy, xy, d = self._gram_terms(x, y, check=True)
-        w = self._wedge(x, y)
-        mw = w @ self.operator
-        sec = self._value(w, mw, x, y) / d
-        fx, fy = self._gradients(mw, x, y)
-        s2, xx, yy, xy, d = (t[..., None] for t in (2 * sec, xx, yy, xy, d))
-        return (sec, (fx - s2 * (yy * gx_m - xy * gy_m)) / d,
-                (fy - s2 * (xx * gy_m - xy * gx_m)) / d)
+        gx, gy, xx, yy, xy, d = self._gram_terms(x, y, check=True)
+        xx, yy, xy = xx[..., None], yy[..., None], xy[..., None]
+        return self._quotient_rule(x, y, yy * gx - xy * gy, xx * gy - xy * gx,
+                                   d)
+
+    def orthonormal_gradient(self, x: np.ndarray, y: np.ndarray,
+                             gx: np.ndarray, gy: np.ndarray):
+        """`sectional_gradient` at G-orthonormal frames (x, y) whose G-images
+        gx, gy are given: the Gram determinant is 1 and is not recomputed, so
+        the value is the numerator and the gradients are (2Ωy − 2·sec·Gx,
+        −2Ωx − 2·sec·Gy)."""
+        return self._quotient_rule(x, y, gx, gy, 1.0)
 
 
 class Curvature(PlaneForm):

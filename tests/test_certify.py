@@ -1,11 +1,13 @@
 """Tests for the multistart positivity search."""
+import warnings
+
 import numpy as np
 import pytest
 
 import homcurv.certify as certify_mod
 from homcurv import catalog_build
 from homcurv.certify import certify
-from homcurv.curvature import Curvature
+from homcurv.curvature import NOISE_BAND, Curvature
 from homcurv.isotypic import decompose
 from homcurv.metrics import diagonal_metric, normal_metric, sample_metric
 
@@ -134,9 +136,8 @@ def test_every_stop_reason_is_reachable(monkeypatch):
     assert r.stop_reasons[1] == "failed" and r.start_minima[1] is None
     assert "failed" not in r.stop_reasons[:1] + r.stop_reasons[2:]
 
-    # a trial evaluator that rejects every step fails every line search
-    monkeypatch.setattr(Curvature, "sectional",
-                        lambda self, x, y: np.full(x.shape[:-1], np.inf))
+    # an Armijo test that no trial passes fails every line search
+    monkeypatch.setattr(certify_mod, "ARMIJO", np.inf)
     r = certify(berger7, g, starts=4)
     assert r.stop_reasons == ("line-search", "failed", "line-search", "line-search")
     assert all(np.isfinite(r.start_minima[i]) for i in (0, 2, 3))
@@ -210,50 +211,65 @@ def test_tiny_metric_scale_keeps_the_frames():
     assert abs(r.min_sectional - 0.05 / lam) <= 1e-9 * (0.05 / lam)
 
 
-def _record_calls(monkeypatch, record):
-    """Make Curvature's evaluations call record(name, x, result) once per call."""
-    for name in ("sectional", "sectional_gradient"):
-        method = getattr(Curvature, name)
+def _record_evaluations(monkeypatch, record):
+    """Make every frame evaluation call record(x, result) once per call."""
+    method = Curvature.orthonormal_gradient
 
-        def recorded(self, x, y, name=name, method=method):
-            out = method(self, x, y)
-            record(name, x, out)
-            return out
+    def recorded(self, x, y, gx, gy):
+        out = method(self, x, y, gx, gy)
+        record(x, out)
+        return out
 
-        monkeypatch.setattr(Curvature, name, recorded)
+    monkeypatch.setattr(Curvature, "orthonormal_gradient", recorded)
+
+
+def _record_line_searches(monkeypatch, record):
+    """Make every line search call record(accepted, values) once per call."""
+    search = certify_mod._line_search
+
+    def recorded(*args):
+        out = search(*args)
+        record(out[0], out[2])
+        return out
+
+    monkeypatch.setattr(certify_mod, "_line_search", recorded)
 
 
 def test_positive_search_stays_within_an_evaluation_budget(monkeypatch):
-    # without the stall stop these 64 starts take about 142,000 plane
-    # evaluations, most of them backtracking at the minimum; with it, 1,700
-    rows = {"sectional": 0, "sectional_gradient": 0}
-    _record_calls(monkeypatch, lambda name, x, out: rows.update(
-        {name: rows[name] + len(x)}))
+    # without the stall stop these 64 starts took about 142,000 plane
+    # evaluations, most of them backtracking at the minimum; with it and one
+    # evaluation per trial they take about 900
+    rows = []
+    _record_evaluations(monkeypatch, lambda x, out: rows.append(len(x)))
     space = catalog_build("berger7")
     r = certify(space, normal_metric(space), starts=64, max_iters=500)
     assert r.verdict == "positive"
-    assert sum(rows.values()) <= 2500, rows
+    assert sum(rows) <= 2500, sum(rows)
 
 
 def test_most_steps_pass_the_nonmonotone_armijo_test(monkeypatch):
-    # each descent round is one sectional_gradient call, each backtracking
-    # round one sectional call; against the current value instead of the
-    # recent maximum this takes about 2.4 sectional calls per round
-    calls = {"sectional": 0, "sectional_gradient": 0}
-    _record_calls(monkeypatch, lambda name, x, out: calls.update(
-        {name: calls[name] + 1}))
+    # every evaluation after the start frames' is one line-search trial;
+    # against the current value instead of the recent maximum this takes
+    # about 2.4 trials per round
+    calls = {"evaluations": 0, "rounds": 0}
+    _record_evaluations(monkeypatch, lambda x, out: calls.update(
+        evaluations=calls["evaluations"] + 1))
+    _record_line_searches(monkeypatch, lambda accepted, values: calls.update(
+        rounds=calls["rounds"] + 1))
     space = catalog_build("wallach6")
     g = diagonal_metric(decompose(space), (1.0, 1.0, 0.5))
     r = certify(space, g, starts=16, max_iters=60)
     assert r.verdict == "positive"
-    assert calls["sectional"] <= 1.2 * calls["sectional_gradient"], calls
+    assert calls["evaluations"] - 1 <= 1.2 * calls["rounds"], calls
 
 
 def test_each_start_reports_its_lowest_value(monkeypatch):
     # a nonmonotone descent can end above the lowest value it reached
     reached = []
-    _record_calls(monkeypatch, lambda name, x, out: (
-        reached.append(out[0]) if name == "sectional_gradient" else None))
+    _record_evaluations(monkeypatch, lambda x, out: (
+        None if reached else reached.append(out[0])))
+    _record_line_searches(monkeypatch, lambda accepted, values: (
+        reached.append(values[accepted])))
     space = catalog_build("stiefel")
     g = sample_metric(space, seed=0)
     cv = Curvature(space, g)
@@ -274,7 +290,43 @@ def test_dependent_trial_planes_are_rejected_not_raised():
     cv = Curvature(space, normal_metric(space))
     x, y = np.random.default_rng(3).standard_normal((2, 3, 7))
     y[1] = -2.0 * x[1]
-    vals = certify_mod._trial_values(cv, x, y)
+    dependent = certify_mod._g_orthonormalize(cv.gm, x, y)[-1]
+    assert dependent.tolist() == [False, True, False]
+    _, vals, _ = certify_mod._evaluate(cv, np.concatenate([x, y], axis=1))
     assert vals[1] == np.inf
-    assert vals[0] == pytest.approx(cv.sectional(x[0], y[0]), rel=1e-12)
-    assert np.isfinite(vals[2])
+    for i in (0, 2):
+        assert vals[i] == pytest.approx(cv.sectional(x[i], y[i]), rel=1e-12)
+
+
+def test_frame_evaluation_matches_sectional_gradient():
+    # the frame evaluation skips the Gram terms; at G-orthonormal frames it
+    # must agree with the quotient rule, also on planes inside NOISE_BAND
+    space = catalog_build("wallach6")
+    g = normal_metric(space)
+    cv = Curvature(space, g)
+    flat = certify(space, g, starts=1)
+    rng = np.random.default_rng(5)
+    frames = rng.standard_normal((8, 12))
+    frames[::2] = (np.concatenate([flat.plane_x, flat.plane_y])
+                   + 1e-6 * rng.standard_normal((4, 12)))
+    q = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    within = (q @ q.T, np.eye(6))
+    v, sec, grad = certify_mod._evaluate(cv, frames, within)
+    x, y = v[:, :6], v[:, 6:]
+    wedge2 = np.vecdot(x, x) * np.vecdot(y, y) - np.vecdot(x, y) ** 2
+    band = NOISE_BAND * np.linalg.norm(cv.operator) * wedge2
+    assert np.all(np.abs(cv.numerator(x, y)[::2]) <= band[::2])
+    ref, rx, ry = cv.sectional_gradient(x, y)
+    np.testing.assert_allclose(sec, ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grad, np.concatenate(
+        [rx @ within[0], ry @ within[1]], axis=1), rtol=1e-12, atol=1e-12)
+
+
+def test_failed_start_frames_raise_no_warning(monkeypatch):
+    # dependent start frames retire before the stall test compares values
+    _degenerate_starts(monkeypatch, {0, 2})
+    space = catalog_build("berger7")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = certify(space, normal_metric(space), starts=4)
+    assert r.stop_reasons[0] == r.stop_reasons[2] == "failed"

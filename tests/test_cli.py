@@ -174,6 +174,20 @@ def test_curvature_plane_from_file(tmp_path):
     assert abs(doc["sectional"] - 0.5) < 1e-10
 
 
+@pytest.mark.parametrize("first, message", [
+    (math.nan, "non-finite entries"),
+    (1e200, "Gram determinant of the plane vectors overflows"),
+])
+def test_curvature_rejects_bad_plane_files(tmp_path, first, message):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"x": [first] + [0] * 6, "y": [0, 1] + [0] * 5}))
+    proc = run_cli("curvature", "berger7", "--plane", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    error = stderr_error(proc)
+    assert error.startswith("--plane") and message in error
+
+
 def test_obstruct_fires_on_nonpositive_sample():
     proc = run_cli("obstruct", "stiefel", "--metric", "sample:0",
                    "--check", "min-eigenvalue", "--starts", "8")
