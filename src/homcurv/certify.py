@@ -1,12 +1,18 @@
 """Multistart descent search for nonpositively curved planes.
 
-Each start draws a random 2-frame and descends the sectional curvature of the
-spanned plane, with a Barzilai-Borwein trial step, nonmonotone Armijo
-backtracking and a G-orthonormalized frame after every accepted step.  The
-Armijo test compares a trial with the largest of the start's last NONMONOTONE
-values, not with its current one (Grippo-Lampariello-Lucidi), so most
-Barzilai-Borwein steps pass at once; a value may rise for a while, and each
-start reports the lowest value it reached and the plane where it reached it.
+Each start draws a random axis x and pairs it with its best partner: for a
+G-unit x, the planes (x, y) with y G-orthogonal to x have the Rayleigh
+quotients of the Jacobi operator J_x as their values, so the start frame's y
+is the lowest eigenvector of J_x on the G-complement of x.  On many metrics
+that plane is already a critical point at the minimum, and the start stops
+before its first step.  From that frame each start descends the sectional
+curvature of the spanned plane, with a Barzilai-Borwein trial step,
+nonmonotone Armijo backtracking and a G-orthonormalized frame after every
+accepted step.  The Armijo test compares a trial with the largest of the
+start's last NONMONOTONE values, not with its current one
+(Grippo-Lampariello-Lucidi), so most Barzilai-Borwein steps pass at once; a
+value may rise for a while, and each start reports the lowest value it
+reached and the plane where it reached it.
 All starts descend as one batch: every round evaluates the planes of the
 starts still running in one product against the curvature operator, while
 each start keeps its own step, its own backtracking and its own stop.  Every
@@ -114,6 +120,36 @@ def _evaluate(cv: PlaneForm, frames: np.ndarray, within: tuple | None = None):
     sec = np.where(dependent | ~np.isfinite(sec), np.inf, sec)
     return (np.concatenate([x, y], axis=1), sec,
             np.concatenate([dx, dy], axis=1))
+
+
+def _partner_frames(cv: PlaneForm, draws: np.ndarray) -> np.ndarray:
+    """Each drawn frame with its y replaced by the best partner of its x, the
+    lowest eigenvector of J_x on the G-complement of x.
+
+    With G = LLᵀ that is the standard eigenproblem of L⁻¹J_xL⁻ᵀ for a G-unit
+    x, with the unit vector u = Lᵀx projected out and shifted above the
+    spectrum; y = L⁻ᵀz.  Rows that are dependent or not finite are returned
+    as drawn, so they still fail.
+    """
+    n = draws.shape[1] // 2
+    x, _, _, _, dependent = _g_orthonormalize(cv.gm, draws[:, :n],
+                                              draws[:, n:])
+    ok = ~dependent & np.isfinite(draws).all(axis=1)
+    if not ok.any():
+        return draws
+    x = x[ok]
+    chol = np.linalg.cholesky(cv.gm)
+    l_inv = np.linalg.inv(chol)
+    s = l_inv @ cv.jacobi_operator(x) @ l_inv.T
+    u = x @ chol
+    uu = u[:, :, None] * u[:, None, :]
+    proj = np.eye(n) - uu
+    top = np.linalg.norm(s, axis=(1, 2))
+    shift = np.where(top > 0, 2.0 * top, 1.0)[:, None, None]
+    z = np.linalg.eigh(proj @ s @ proj + shift * uu)[1][:, :, 0]
+    out = draws.copy()
+    out[ok, n:] = z @ l_inv
+    return out
 
 
 def _line_search(cv: PlaneForm, v: np.ndarray, grad: np.ndarray,
@@ -245,7 +281,8 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
     n = space.dim_p
     draws = np.array([rng_from(seed, s).standard_normal(2 * n)
                       for s in range(starts)]).reshape(starts, 2 * n)
-    secs, frames, reasons = _descend(cv, draws, max_iters, grad_tol)
+    secs, frames, reasons = _descend(cv, _partner_frames(cv, draws),
+                                     max_iters, grad_tol)
     finals = tuple(None if r == FAILED else float(s)
                    for s, r in zip(secs, reasons))
     succeeded = [i for i, r in enumerate(reasons) if r != FAILED]

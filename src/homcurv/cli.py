@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .certify import certify
-from .curvature import Curvature
+from .curvature import DEPENDENT_TOL, Curvature
 from .isotypic import decompose
 from .metrics import metric_from_spec, metric_sampler, validate_metric
 from .numerics import rng_from
@@ -185,12 +185,18 @@ def _cmd_curvature(args, seed: int) -> int:
     x, y = _resolve_plane(space, args.plane)
     cv = Curvature(space, metric)
     # the vectors are finite, so a Gram determinant that is not finite
-    # overflowed, and the dependence test would misreport it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflowed, and one whose dependence bound DEPENDENT_TOL |x|²_G |y|²_G
+    # is below the normal range underflowed; the dependence test would
+    # misreport either
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         gram = cv.gram(x, y)
+        bound = DEPENDENT_TOL * (x @ cv.gm @ x) * (y @ cv.gm @ y)
     if not np.isfinite(gram):
         raise CliError(f"--plane {args.plane}: the Gram determinant of the "
                        f"plane vectors overflows; scale them down")
+    if x.any() and y.any() and bound < np.finfo(float).tiny:
+        raise CliError(f"--plane {args.plane}: the Gram determinant of the "
+                       f"plane vectors underflows; scale them up")
     try:
         sec = cv.sectional(x, y)
     except ValueError as exc:

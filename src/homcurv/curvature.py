@@ -18,7 +18,10 @@ does these evaluations for any symmetric operator and metric (the witness
 searches use it for |[x, y]|²), with one quotient rule for the gradients:
 `sectional_gradient` feeds it the Gram terms of any frame, and
 `orthonormal_gradient`, which the plane searches call on every trial, feeds
-it a G-orthonormal frame's G-images with d = 1.  On the planes themselves
+it a G-orthonormal frame's G-images with d = 1.  For a fixed x the numerator
+is a quadratic form in y, the Jacobi operator J_x = A M Aᵀ with row b of A
+equal to x ∧ e_b (`jacobi_operator`); certify starts each descent at the
+lowest eigenvector of J_x on the G-complement of x.  On the planes themselves
 the brackets give `four_term_numerator`: one batch for the planes so close
 to flat that wᵀMw is within its own rounding noise (see NOISE_BAND), and the
 witness planes.
@@ -163,6 +166,16 @@ class PlaneForm:
 
     def gram(self, x: np.ndarray, y: np.ndarray):
         return self._gram_terms(x, y)[-1]
+
+    def jacobi_operator(self, x: np.ndarray) -> np.ndarray:
+        """The Jacobi operators J_x, shape (..., n, n): yᵀJ_x y = wᵀMw for
+        w = x ∧ y, and J_x x = 0.
+
+        J_x = A M Aᵀ, where row b of A is x ∧ e_b.
+        """
+        n = x.shape[-1]
+        a = (x @ self._wedge_map.reshape(n, -1)).reshape(x.shape[:-1] + (n, -1))
+        return a @ self.operator @ np.swapaxes(a, -1, -2)
 
     def sectional(self, x: np.ndarray, y: np.ndarray):
         """Numerator over Gram determinant; raises if any plane is dependent."""

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import homcurv.certify as certify_mod
 from homcurv import catalog_build
@@ -98,6 +99,59 @@ def test_rejects_parameters_that_void_the_verdict(bad):
         certify(space, normal_metric(space), **{"starts": 2, **bad})
 
 
+@pytest.mark.parametrize("label,params,metric", [
+    ("stiefel", {}, lambda s: sample_metric(s, seed=0)),
+    ("aloffwallach-su3", {"p": 1, "q": 1},
+     lambda s: diagonal_metric(decompose(s), (0.3, 1.0))),
+])
+def test_partner_is_the_lowest_plane_through_the_drawn_axis(label, params,
+                                                             metric):
+    space = catalog_build(label, **params)
+    g = metric(space)
+    cv = Curvature(space, g)
+    n = space.dim_p
+    rng = np.random.default_rng(11)
+    draws = rng.standard_normal((6, 2 * n))
+    draws[4, n:] = 3.0 * draws[4, :n]          # dependent
+    draws[5, 0] = np.nan
+    frames = certify_mod._partner_frames(cv, draws)
+    # the drawn axes stay, and rows that must fail pass through as drawn
+    assert np.array_equal(frames[:, :n], draws[:, :n], equal_nan=True)
+    assert np.array_equal(frames[4:], draws[4:], equal_nan=True)
+    for x, y in zip(frames[:4, :n], frames[:4, n:]):
+        x = x / np.sqrt(x @ g @ x)
+        assert abs(x @ g @ y) <= 1e-12 * np.sqrt(y @ g @ y)
+        best = cv.sectional(x, y)
+        # the lowest generalized eigenvalue of (J_x, G) on the G-complement of x
+        q = scipy.linalg.null_space((g @ x)[None])
+        lowest = scipy.linalg.eigh(q.T @ cv.jacobi_operator(x) @ q,
+                                   q.T @ g @ q, eigvals_only=True)[0]
+        assert abs(best - lowest) <= 1e-12 * max(1.0, abs(lowest))
+        others = rng.standard_normal((50, n))
+        others -= np.outer(others @ g @ x, x)
+        assert np.all(cv.sectional(x, others)
+                      >= best - 1e-12 * max(1.0, abs(best)))
+
+
+@pytest.mark.parametrize("label,params,metric,minimum", [
+    ("berger7", {}, normal_metric, 0.05),
+    ("wallach6", {}, lambda s: diagonal_metric(decompose(s), (1.0, 1.0, 0.5)),
+     0.0625),
+    ("aloffwallach-su3", {"p": 1, "q": 1},
+     lambda s: diagonal_metric(decompose(s), (0.3, 1.0)), 0.0375),
+    ("cpn", {"n": 2}, normal_metric, 0.5),
+    ("hpn", {"n": 2}, normal_metric, 0.25),
+])
+def test_partner_planes_start_at_the_minimum(label, params, metric, minimum):
+    # on these metrics every axis has a partner plane at the global minimum,
+    # and it is a critical point, so no start needs a single line search
+    space = catalog_build(label, **params)
+    r = certify(space, metric(space), starts=16, max_iters=0)
+    assert r.stop_reasons == ("converged",) * 16
+    assert r.verdict == "positive"
+    assert abs(r.min_sectional - minimum) <= 1e-12
+
+
 class _DegenerateDraws:
     """Stands in for a start's generator: its x and y draws coincide."""
 
@@ -117,28 +171,29 @@ def _degenerate_starts(monkeypatch, which):
 
 
 def test_every_stop_reason_is_reachable(monkeypatch):
-    berger7 = catalog_build("berger7")
-    g = normal_metric(berger7)
+    # w11's drawn axes are not at its minimum, so its starts still descend
+    w11 = catalog_build("w11")
+    g = normal_metric(w11)
     wallach6 = catalog_build("wallach6")
     # the gradient vanishes on the flat planes of the flag manifold; every
     # start gets there only if values near them keep their relative accuracy
     r = certify(wallach6, normal_metric(wallach6), starts=8)
     assert set(r.stop_reasons) <= {"converged", "stalled"}
     assert all(0.0 <= m <= 1e-18 for m in r.start_minima), r.start_minima
-    # at berger7's minimum the gradient keeps a rounding floor above grad_tol
-    assert "stalled" in certify(berger7, g, starts=16).stop_reasons
-    r = certify(berger7, g, starts=4, max_iters=1)
+    # at w11's minimum the gradient keeps a rounding floor above grad_tol
+    assert "stalled" in certify(w11, g, starts=16).stop_reasons
+    r = certify(w11, g, starts=4, max_iters=1)
     assert r.stop_reasons == ("max-iters",) * 4
     assert r.converged_starts == 0 and r.verdict == "positive"
 
     _degenerate_starts(monkeypatch, {1})
-    r = certify(berger7, g, starts=4)
+    r = certify(w11, g, starts=4)
     assert r.stop_reasons[1] == "failed" and r.start_minima[1] is None
     assert "failed" not in r.stop_reasons[:1] + r.stop_reasons[2:]
 
     # an Armijo test that no trial passes fails every line search
     monkeypatch.setattr(certify_mod, "ARMIJO", np.inf)
-    r = certify(berger7, g, starts=4)
+    r = certify(w11, g, starts=4)
     assert r.stop_reasons == ("line-search", "failed", "line-search", "line-search")
     assert all(np.isfinite(r.start_minima[i]) for i in (0, 2, 3))
 
@@ -238,7 +293,8 @@ def _record_line_searches(monkeypatch, record):
 def test_positive_search_stays_within_an_evaluation_budget(monkeypatch):
     # without the stall stop these 64 starts took about 142,000 plane
     # evaluations, most of them backtracking at the minimum; with it and one
-    # evaluation per trial they take about 900
+    # evaluation per trial they took about 900, and from the partner planes
+    # of their drawn axes they evaluate only the 64 start frames
     rows = []
     _record_evaluations(monkeypatch, lambda x, out: rows.append(len(x)))
     space = catalog_build("berger7")
@@ -256,10 +312,11 @@ def test_most_steps_pass_the_nonmonotone_armijo_test(monkeypatch):
         evaluations=calls["evaluations"] + 1))
     _record_line_searches(monkeypatch, lambda accepted, values: calls.update(
         rounds=calls["rounds"] + 1))
-    space = catalog_build("wallach6")
-    g = diagonal_metric(decompose(space), (1.0, 1.0, 0.5))
-    r = certify(space, g, starts=16, max_iters=60)
+    # w11's starts still descend from their partner planes
+    space = catalog_build("w11")
+    r = certify(space, normal_metric(space), starts=16, max_iters=60)
     assert r.verdict == "positive"
+    assert calls["rounds"] > 0
     assert calls["evaluations"] - 1 <= 1.2 * calls["rounds"], calls
 
 

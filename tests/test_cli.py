@@ -177,6 +177,7 @@ def test_curvature_plane_from_file(tmp_path):
 @pytest.mark.parametrize("first, message", [
     (math.nan, "non-finite entries"),
     (1e200, "Gram determinant of the plane vectors overflows"),
+    (1e-200, "Gram determinant of the plane vectors underflows"),
 ])
 def test_curvature_rejects_bad_plane_files(tmp_path, first, message):
     path = tmp_path / "plane.json"

@@ -61,6 +61,25 @@ def test_operator_matches_four_term_oracle(label):
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+
+@pytest.mark.parametrize("label", ["berger7", "stiefel", "sp3mix"])
+def test_jacobi_operator_is_the_numerator_in_y(label):
+    space, cv = _sampled(label)
+    xs, ys = np.random.default_rng(17).standard_normal((2, 10, space.dim_p))
+    jac = cv.jacobi_operator(xs)
+    assert jac.shape == (10, space.dim_p, space.dim_p)
+    ref = cv.numerator(xs, ys)
+    got = np.einsum("ri,rij,rj->r", ys, jac, ys)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    # x ∧ x = 0, so x is in the kernel of its own Jacobi operator
+    scale = np.linalg.norm(jac, axis=(1, 2)) * np.linalg.norm(xs, axis=1)
+    assert np.all(np.linalg.norm(np.einsum("rij,rj->ri", jac, xs), axis=1)
+                  <= 1e-12 * scale)
+    # one x without a batch axis gives one matrix
+    np.testing.assert_allclose(cv.jacobi_operator(xs[3]), jac[3],
+                               rtol=1e-12, atol=1e-12 * np.abs(jac[3]).max())
+
+
 @PROPERTY_SETTINGS
 @given(label=st.sampled_from(catalog_labels()), seed=st.integers(0, 2**32 - 1),
        a=st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4))
