@@ -1,14 +1,15 @@
 """Multistart descent search for nonpositively curved planes.
 
-Each start draws a random axis x and pairs it with its best partner: for a
-G-unit x, the planes (x, y) with y G-orthogonal to x have the Rayleigh
-quotients of the Jacobi operator J_x as their values, so the start frame's y
-is the lowest eigenvector of J_x on the G-complement of x.  On many metrics
-that plane is already a critical point at the minimum, and the start stops
-before its first step.  From that frame each start descends the sectional
-curvature of the spanned plane, with a Barzilai-Borwein trial step,
-nonmonotone Armijo backtracking and a G-orthonormalized frame after every
-accepted step.  The Armijo test compares a trial with the largest of the
+The search runs in the coordinates x′ = Lᵀx (G = LLᵀ) of `Curvature`, where
+the metric is the identity.  Each start draws a random axis x and pairs it
+with its best partner: for a unit x, the planes (x, y) with y orthogonal to
+x have the Rayleigh quotients of the Jacobi operator J_x as their values, so
+the start frame's y is the lowest eigenvector of J_x on the complement of x.
+On many metrics that plane is already a critical point at the minimum, and
+the start stops before its first step.  From that frame each start descends
+the sectional curvature of the spanned plane, with a Barzilai-Borwein trial
+step, nonmonotone Armijo backtracking and an orthonormalized frame after
+every accepted step.  The Armijo test compares a trial with the largest of the
 start's last NONMONOTONE values, not with its current one
 (Grippo-Lampariello-Lucidi), so most Barzilai-Borwein steps pass at once; a
 value may rise for a while, and each start reports the lowest value it
@@ -16,7 +17,7 @@ reached and the plane where it reached it.
 All starts descend as one batch: every round evaluates the planes of the
 starts still running in one product against the curvature operator, while
 each start keeps its own step, its own backtracking and its own stop.  Every
-trial is evaluated once, at its G-orthonormal frame, where the Gram
+trial is evaluated once, at its orthonormal frame, where the Gram
 determinant is 1: the value and the gradients come from one call, and an
 accepted trial hands both to the next round.  A trial whose Gram determinant
 fails the dependence test (DEPENDENT_TOL) or whose value is not finite is
@@ -51,8 +52,8 @@ DISCLAIMER = ("a positive verdict means no nonpositively curved plane was "
 
 # A start stops as "stalled" after STALL_STEPS consecutive accepted steps that
 # each move its sectional value, up or down, by at most STALL_TOL times the
-# larger of |sec| and |M|_F / |G|_2^2; both scale like sectional curvature
-# under G -> λG.  At the minimum the gradient's rounding floor can stay above
+# larger of |sec| and |R̂|_F; both scale like sectional curvature under
+# G -> λG.  At the minimum the gradient's rounding floor can stay above
 # grad_tol, and such starts would otherwise backtrack to max_iters without
 # moving.
 STALL_TOL = 1e-13
@@ -70,7 +71,7 @@ class CertifyReport:
     label: str
     verdict: str                     # "positive" | "nonpositive-witness" | "inconclusive"
     min_sectional: float
-    plane_x: tuple[float, ...]       # p-coordinates of the minimizing frame
+    plane_x: tuple[float, ...]       # p-coordinates of the G-orthonormal minimizing frame
     plane_y: tuple[float, ...]
     start_minima: tuple              # per-start lowest value, None on failure
     converged_starts: int            # starts that stopped "converged" or "stalled"
@@ -85,36 +86,31 @@ class CertifyReport:
     wall_time: float = field(compare=False, default=0.0)
 
 
-def _g_orthonormalize(gm: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """G-orthonormal frames of the rows' planes, their G-images and the mask
-    of dependent rows.
+def _orthonormalize(x: np.ndarray, y: np.ndarray):
+    """Orthonormal frames of the rows' planes and the mask of dependent rows.
 
     A row is dependent when the Gram determinant of its plane is at most
-    DEPENDENT_TOL times |x|²_G |y|²_G, a test that G -> λG leaves unchanged.
+    DEPENDENT_TOL times |x|² |y|², a test that scaling leaves unchanged.
     """
-    gx = x @ gm.T
-    norm = np.sqrt(np.vecdot(x, gx))[:, None]
-    x, gx = x / norm, gx / norm
-    along = np.vecdot(y, gx)
+    x = x / np.sqrt(np.vecdot(x, x))[:, None]
+    along = np.vecdot(y, x)
     y = y - along[:, None] * x
-    gy = y @ gm.T
-    ny2 = np.vecdot(y, gy)
-    # the Gram determinant of (x̂, y) is ny², and |y|²_G = along² + ny²
+    ny2 = np.vecdot(y, y)
+    # the Gram determinant of (x̂, y) is ny², and |y|² = along² + ny²
     dependent = ny2 <= DEPENDENT_TOL * (along * along + ny2)
     ny = np.sqrt(np.where(dependent, 1.0, ny2))[:, None]
-    return x, y / ny, gx, gy / ny, dependent
+    return x, y / ny, dependent
 
 
 def _evaluate(cv: PlaneForm, frames: np.ndarray, within: tuple | None = None):
-    """Move every row (x then y) to its G-orthonormal frame and evaluate it.
+    """Move every row (x then y) to its orthonormal frame and evaluate it.
 
     Returns the frames, their sectional values (+inf where a row is dependent
     or its value is not finite) and their gradients, projected by `within`.
     """
     n = frames.shape[1] // 2
-    x, y, gx, gy, dependent = _g_orthonormalize(cv.gm, frames[:, :n],
-                                                frames[:, n:])
-    sec, dx, dy = cv.orthonormal_gradient(x, y, gx, gy)
+    x, y, dependent = _orthonormalize(frames[:, :n], frames[:, n:])
+    sec, dx, dy = cv.orthonormal_gradient(x, y)
     if within is not None:
         dx, dy = dx @ within[0], dy @ within[1]
     sec = np.where(dependent | ~np.isfinite(sec), np.inf, sec)
@@ -124,31 +120,25 @@ def _evaluate(cv: PlaneForm, frames: np.ndarray, within: tuple | None = None):
 
 def _partner_frames(cv: PlaneForm, draws: np.ndarray) -> np.ndarray:
     """Each drawn frame with its y replaced by the best partner of its x, the
-    lowest eigenvector of J_x on the G-complement of x.
+    lowest eigenvector of J_x on the complement of x.
 
-    With G = LLᵀ that is the standard eigenproblem of L⁻¹J_xL⁻ᵀ for a G-unit
-    x, with the unit vector u = Lᵀx projected out and shifted above the
-    spectrum; y = L⁻ᵀz.  Rows that are dependent or not finite are returned
-    as drawn, so they still fail.
+    The unit x is projected out of J_x and shifted above its spectrum, so the
+    eigenproblem never returns it.  Rows that are dependent or not finite are
+    returned as drawn, so they still fail.
     """
     n = draws.shape[1] // 2
-    x, _, _, _, dependent = _g_orthonormalize(cv.gm, draws[:, :n],
-                                              draws[:, n:])
+    x, _, dependent = _orthonormalize(draws[:, :n], draws[:, n:])
     ok = ~dependent & np.isfinite(draws).all(axis=1)
     if not ok.any():
         return draws
     x = x[ok]
-    chol = np.linalg.cholesky(cv.gm)
-    l_inv = np.linalg.inv(chol)
-    s = l_inv @ cv.jacobi_operator(x) @ l_inv.T
-    u = x @ chol
-    uu = u[:, :, None] * u[:, None, :]
-    proj = np.eye(n) - uu
-    top = np.linalg.norm(s, axis=(1, 2))
+    jac = cv.jacobi_operator(x)
+    xx = x[:, :, None] * x[:, None, :]
+    proj = np.eye(n) - xx
+    top = np.linalg.norm(jac, axis=(1, 2))
     shift = np.where(top > 0, 2.0 * top, 1.0)[:, None, None]
-    z = np.linalg.eigh(proj @ s @ proj + shift * uu)[1][:, :, 0]
     out = draws.copy()
-    out[ok, n:] = z @ l_inv
+    out[ok, n:] = np.linalg.eigh(proj @ jac @ proj + shift * xx)[1][:, :, 0]
     return out
 
 
@@ -160,7 +150,7 @@ def _line_search(cv: PlaneForm, v: np.ndarray, grad: np.ndarray,
     A trial passes when its value is at most its row's reference `ref` less
     ARMIJO * step * |grad|²; rows that fail halve their step and try again.
     Returns the mask of rows that found a step and, on those rows, the
-    accepted trial's G-orthonormal frame, value and gradient (the other rows
+    accepted trial's orthonormal frame, value and gradient (the other rows
     hold a rejected trial).
     """
     frames, secs, grads = _evaluate(cv, v - step[:, None] * grad, within)
@@ -181,30 +171,31 @@ def _line_search(cv: PlaneForm, v: np.ndarray, grad: np.ndarray,
 
 
 def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
-             grad_tol: float, within: tuple | None = None):
+             grad_tol: float, unit: float, within: tuple | None = None):
     """Minimize the sectional value of every start's plane in one batch.
 
     `draws` holds one start frame per row, x then y.  Each start keeps its
     own Barzilai-Borwein step, nonmonotone Armijo backtracking and stop rule;
     every round evaluates all starts still descending together.  Projectors
-    `within` for x and y keep frames drawn in two equal or G-orthogonal
+    `within` for x and y keep frames drawn in two equal or orthogonal
     subspaces, or in one subspace and all of p, inside them.  Returns each
     row's lowest value and the frame that reached it, and its stop reason
     (a failed row's value is not a result).
 
     The start frames are evaluated once; after that every frame, value and
     gradient is the line search's accepted trial, evaluated at its
-    G-orthonormal frame.  Under G -> λG those frames and the gradient both
-    scale by 1/√λ, so the stop test |∇|² λ_max(G) <= grad_tol² and the first
-    step 1 / max(1, |∇| √λ_max(G)) read the same on every multiple of a
-    metric.
+    orthonormal frame.  A step length carries the unit 1/curvature: `unit`
+    is a curvature scale of the operator (certify passes 1/λ_max(G)), and
+    under G -> λG the operator, the gradient and `unit` all scale by 1/λ.
+    So the stop test |∇| <= grad_tol · unit, the first step
+    1 / max(unit, |∇|) and the Barzilai-Borwein clamp [1e-12, 1e6] / unit
+    read the same on every multiple of a metric.
     """
     starts = len(draws)
     final_sec = np.full(starts, np.nan)
     final_v = np.zeros_like(draws)
     reasons = [MAX_ITERS] * starts
-    lam_max = cv.max_eigenvalue
-    stall_scale = float(np.linalg.norm(cv.operator)) / lam_max ** 2
+    stall_scale = float(np.linalg.norm(cv.operator))
 
     def retire(st, mask, reason):
         """Record why the masked rows stopped (one reason or one per row); drop them."""
@@ -237,7 +228,7 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
                   best=np.where(lower, sec, st["best"]),
                   best_v=np.where(lower[:, None], v, st["best_v"]))
         failed = ~np.isfinite(gn2)
-        converged = gn2 * lam_max <= grad_tol * grad_tol
+        converged = gn2 <= (grad_tol * unit) ** 2
         done = failed | converged | (stalls >= STALL_STEPS)
         if done.any():
             st = retire(st, done, np.where(failed, FAILED, np.where(
@@ -245,13 +236,13 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
         if it == max_iters or not st["row"].size:
             break
         if it == 0:
-            step = 1.0 / np.maximum(1.0, np.sqrt(st["gn2"] * lam_max))
+            step = 1.0 / np.maximum(unit, np.sqrt(st["gn2"]))
         else:
             dv, dg = st["v"] - st["prev_v"], st["grad"] - st["prev_grad"]
             denom = np.vecdot(dg, dg)
             step = np.divide(np.abs(np.vecdot(dv, dg)), denom,
                              out=np.ones_like(denom), where=denom > 1e-300)
-            step = np.minimum(np.maximum(step, 1e-12), 1e6)
+            step = np.minimum(np.maximum(step, 1e-12 / unit), 1e6 / unit)
         accepted, v, sec, grad = _line_search(
             cv, st["v"], st["grad"], st["recent"].max(axis=1), st["gn2"],
             step, within)
@@ -280,17 +271,18 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
     zero_threshold = zero_tol / cv.max_eigenvalue
     n = space.dim_p
     draws = np.array([rng_from(seed, s).standard_normal(2 * n)
-                      for s in range(starts)]).reshape(starts, 2 * n)
-    secs, frames, reasons = _descend(cv, _partner_frames(cv, draws),
-                                     max_iters, grad_tol)
+                      for s in range(starts)]).reshape(starts, 2, n)
+    secs, frames, reasons = _descend(
+        cv, _partner_frames(cv, (draws @ cv.factor).reshape(starts, 2 * n)),
+        max_iters, grad_tol, 1.0 / cv.max_eigenvalue)
     finals = tuple(None if r == FAILED else float(s)
                    for s, r in zip(secs, reasons))
     succeeded = [i for i, r in enumerate(reasons) if r != FAILED]
     best = np.nan
-    best_v = np.zeros(2 * n)
+    best_v = np.zeros((2, n))
     if succeeded:
         i = min(succeeded, key=lambda k: secs[k])
-        best, best_v = secs[i], frames[i]
+        best, best_v = secs[i], frames[i].reshape(2, n) @ cv.basis
     if not succeeded:
         verdict = "inconclusive"
     elif best <= zero_threshold:
@@ -303,8 +295,8 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
         label=space.label,
         verdict=verdict,
         min_sectional=float(best),
-        plane_x=tuple(float(c) for c in best_v[:n]),
-        plane_y=tuple(float(c) for c in best_v[n:]),
+        plane_x=tuple(float(c) for c in best_v[0]),
+        plane_y=tuple(float(c) for c in best_v[1]),
         start_minima=finals,
         converged_starts=sum(r in (CONVERGED, STALLED) for r in reasons),
         stop_reasons=tuple(reasons),

@@ -190,7 +190,7 @@ def _cmd_curvature(args, seed: int) -> int:
     # misreport either
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         gram = cv.gram(x, y)
-        bound = DEPENDENT_TOL * (x @ cv.gm @ x) * (y @ cv.gm @ y)
+        bound = DEPENDENT_TOL * (x @ metric @ x) * (y @ metric @ y)
     if not np.isfinite(gram):
         raise CliError(f"--plane {args.plane}: the Gram determinant of the "
                        f"plane vectors overflows; scale them down")

@@ -82,10 +82,10 @@ class Sp2Symmetrization:
 
 
 def _commutator_form(space: HomogeneousSpace) -> PlaneForm:
-    """|[x, y]|² / Gram as a plane form: BᵀB with B(e_a ∧ e_b) = [e_a, e_b], G = Id."""
+    """|[x, y]|² / Gram as a plane form: BᵀB with B(e_a ∧ e_b) = [e_a, e_b]."""
     i, j = np.triu_indices(space.dim_p, 1)
     b = bracket(space.ambient, space.p_basis[i], space.p_basis[j])
-    return PlaneForm(b @ b.T, np.eye(space.dim_p))
+    return PlaneForm(b @ b.T, space.dim_p)
 
 
 def _bracket_ratio(space: HomogeneousSpace, x: np.ndarray,
@@ -107,7 +107,7 @@ def _search_planes(space: HomogeneousSpace, basis_x: np.ndarray,
     draws = np.concatenate([coeffs[:, :kx] @ basis_x,
                             coeffs[:, kx:] @ basis_y], axis=1)
     vals, frames, reasons = _descend(
-        _commutator_form(space), draws, SEARCH_ITERS, SEARCH_GRAD_TOL,
+        _commutator_form(space), draws, SEARCH_ITERS, SEARCH_GRAD_TOL, 1.0,
         within=(basis_x.T @ basis_x, basis_y.T @ basis_y))
     vals[np.array(reasons) == FAILED] = np.inf
     return vals, frames[:, :n], frames[:, n:]

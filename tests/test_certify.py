@@ -107,10 +107,11 @@ def test_rejects_parameters_that_void_the_verdict(bad):
 def test_partner_is_the_lowest_plane_through_the_drawn_axis(label, params,
                                                              metric):
     space = catalog_build(label, **params)
-    g = metric(space)
-    cv = Curvature(space, g)
+    cv = Curvature(space, metric(space))
     n = space.dim_p
     rng = np.random.default_rng(11)
+    # frames in the coordinates x′ = Lᵀx of G = LLᵀ, where the metric is Id;
+    # cv.basis = L⁻¹ maps them back to p-coordinates
     draws = rng.standard_normal((6, 2 * n))
     draws[4, n:] = 3.0 * draws[4, :n]          # dependent
     draws[5, 0] = np.nan
@@ -119,17 +120,17 @@ def test_partner_is_the_lowest_plane_through_the_drawn_axis(label, params,
     assert np.array_equal(frames[:, :n], draws[:, :n], equal_nan=True)
     assert np.array_equal(frames[4:], draws[4:], equal_nan=True)
     for x, y in zip(frames[:4, :n], frames[:4, n:]):
-        x = x / np.sqrt(x @ g @ x)
-        assert abs(x @ g @ y) <= 1e-12 * np.sqrt(y @ g @ y)
-        best = cv.sectional(x, y)
-        # the lowest generalized eigenvalue of (J_x, G) on the G-complement of x
-        q = scipy.linalg.null_space((g @ x)[None])
+        x = x / np.linalg.norm(x)
+        assert abs(x @ y) <= 1e-12 * np.linalg.norm(y)
+        best = cv.sectional(x @ cv.basis, y @ cv.basis)
+        # the lowest eigenvalue of J_x on the complement of x
+        q = scipy.linalg.null_space(x[None])
         lowest = scipy.linalg.eigh(q.T @ cv.jacobi_operator(x) @ q,
-                                   q.T @ g @ q, eigvals_only=True)[0]
+                                   eigvals_only=True)[0]
         assert abs(best - lowest) <= 1e-12 * max(1.0, abs(lowest))
         others = rng.standard_normal((50, n))
-        others -= np.outer(others @ g @ x, x)
-        assert np.all(cv.sectional(x, others)
+        others -= np.outer(others @ x, x)
+        assert np.all(cv.sectional(x @ cv.basis, others @ cv.basis)
                       >= best - 1e-12 * max(1.0, abs(best)))
 
 
@@ -219,14 +220,15 @@ def test_positive_needs_a_quorum_of_finished_starts(monkeypatch):
     ("wallach6", lambda s: diagonal_metric(decompose(s), (1.0, 1.0, 0.5))),
     ("stiefel", lambda s: sample_metric(s, seed=0)),
 ])
-@pytest.mark.parametrize("lam", [1e-3, 1e3])
+@pytest.mark.parametrize("lam", [1e-8, 1e-3, 1e3, 1e8])
 def test_scaled_metric_scales_the_minimum(label, metric, lam):
     space = catalog_build(label)
     g = metric(space)
     ref = certify(space, g, starts=16)
     r = certify(space, lam * g, starts=16)
     assert r.verdict == ref.verdict
-    # the stop test and the first step read the gradient in the metric's scale
+    # the stop test, the first step and the Barzilai-Borwein clamp read the
+    # gradient and the step in the metric's scale
     assert r.stop_reasons == ref.stop_reasons
     assert abs(r.min_sectional - ref.min_sectional / lam) <= \
         1e-9 * abs(ref.min_sectional / lam)
@@ -270,8 +272,8 @@ def _record_evaluations(monkeypatch, record):
     """Make every frame evaluation call record(x, result) once per call."""
     method = Curvature.orthonormal_gradient
 
-    def recorded(self, x, y, gx, gy):
-        out = method(self, x, y, gx, gy)
+    def recorded(self, x, y):
+        out = method(self, x, y)
         record(x, out)
         return out
 
@@ -347,9 +349,11 @@ def test_dependent_trial_planes_are_rejected_not_raised():
     cv = Curvature(space, normal_metric(space))
     x, y = np.random.default_rng(3).standard_normal((2, 3, 7))
     y[1] = -2.0 * x[1]
-    dependent = certify_mod._g_orthonormalize(cv.gm, x, y)[-1]
+    # the descent evaluates frames in the coordinates x′ = Lᵀx of G = LLᵀ
+    xn, yn = x @ cv.factor, y @ cv.factor
+    dependent = certify_mod._orthonormalize(xn, yn)[-1]
     assert dependent.tolist() == [False, True, False]
-    _, vals, _ = certify_mod._evaluate(cv, np.concatenate([x, y], axis=1))
+    _, vals, _ = certify_mod._evaluate(cv, np.concatenate([xn, yn], axis=1))
     assert vals[1] == np.inf
     for i in (0, 2):
         assert vals[i] == pytest.approx(cv.sectional(x[i], y[i]), rel=1e-12)

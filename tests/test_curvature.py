@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from homcurv import bracket, catalog_build, coords_of
 from homcurv.curvature import NOISE_BAND, Curvature, b_plus
 from homcurv.curvature import four_term_numerator as batched_numerator
-from homcurv.metrics import normal_metric, sample_metric
+from homcurv.isotypic import decompose
+from homcurv.metrics import diagonal_metric, normal_metric, sample_metric
 from homcurv.spaces import catalog_labels, listing_params
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -66,18 +67,42 @@ def test_operator_matches_four_term_oracle(label):
 def test_jacobi_operator_is_the_numerator_in_y(label):
     space, cv = _sampled(label)
     xs, ys = np.random.default_rng(17).standard_normal((2, 10, space.dim_p))
-    jac = cv.jacobi_operator(xs)
+    # J_x acts on the coordinates x′ = Lᵀx of G = LLᵀ; numerator takes p's
+    xn, yn = xs @ cv.factor, ys @ cv.factor
+    jac = cv.jacobi_operator(xn)
     assert jac.shape == (10, space.dim_p, space.dim_p)
     ref = cv.numerator(xs, ys)
-    got = np.einsum("ri,rij,rj->r", ys, jac, ys)
+    got = np.einsum("ri,rij,rj->r", yn, jac, yn)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
     # x ∧ x = 0, so x is in the kernel of its own Jacobi operator
-    scale = np.linalg.norm(jac, axis=(1, 2)) * np.linalg.norm(xs, axis=1)
-    assert np.all(np.linalg.norm(np.einsum("rij,rj->ri", jac, xs), axis=1)
+    scale = np.linalg.norm(jac, axis=(1, 2)) * np.linalg.norm(xn, axis=1)
+    assert np.all(np.linalg.norm(np.einsum("rij,rj->ri", jac, xn), axis=1)
                   <= 1e-12 * scale)
     # one x without a batch axis gives one matrix
-    np.testing.assert_allclose(cv.jacobi_operator(xs[3]), jac[3],
+    np.testing.assert_allclose(cv.jacobi_operator(xn[3]), jac[3],
                                rtol=1e-12, atol=1e-12 * np.abs(jac[3]).max())
+
+
+@pytest.mark.parametrize("label,metric", [
+    ("berger7", lambda s: 0.5 * normal_metric(s)),
+    ("berger7", lambda s: sample_metric(s, seed=3)),
+    ("wallach6", lambda s: diagonal_metric(decompose(s), (1.0, 1.0, 0.5))),
+    ("aloffwallach-su3", lambda s: diagonal_metric(decompose(s), (0.3, 1.0))),
+    ("stiefel", lambda s: sample_metric(s, seed=0)),
+    ("sp3mix", lambda s: 1e3 * sample_metric(s, seed=2)),
+])
+def test_sectional_is_a_rayleigh_quotient_of_the_operator(label, metric):
+    # the operator acts on G-orthonormal coordinates, where the Gram
+    # determinant of a plane is |x′ ∧ y′|²; the operator on p-coordinates
+    # would fail this: for berger7 at 0.5 · normal its largest eigenvalue is
+    # 1.325, and these planes reach 2.81
+    space = catalog_build(label, **listing_params(label))
+    cv = Curvature(space, metric(space))
+    lo, hi = np.linalg.eigvalsh(cv.operator)[[0, -1]]
+    x, y = np.random.default_rng(8).standard_normal((2, 200, space.dim_p))
+    sec = cv.sectional(x, y)
+    tol = 1e-12 * max(abs(lo), abs(hi))
+    assert np.all(sec >= lo - tol) and np.all(sec <= hi + tol)
 
 
 @PROPERTY_SETTINGS
