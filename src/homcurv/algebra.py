@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import kernel_dimension, nullspace, orthonormalize_rows, rng_from
+from .numerics import nullspace, orthonormalize_rows, rng_from
 
 
 @dataclass(frozen=True)
@@ -274,18 +274,20 @@ def q_inner(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> float:
 def rank(alg: LieAlgebra, draws: int = 8, seed: int = 0,
          basis: np.ndarray | None = None) -> int:
     """Dimension of the kernel of ad_x for generic x, minimized over draws;
-    of the subalgebra spanned by the orthonormal rows of `basis`, if given."""
+    of the subalgebra spanned by the orthonormal rows of `basis`, if given.
+
+    All draws take one batched ad_x and one stacked SVD; a singular value
+    counts when it exceeds 1e-8 times the larger of its draw's top one and 1.
+    """
     dim = alg.dim if basis is None else basis.shape[0]
     if dim == 0:
         return 0
-    best = dim
-    rng = rng_from(seed)
-    for _ in range(draws):
-        x = rng.standard_normal(dim)
-        ad = (ad_operator(alg, x) if basis is None
-              else basis @ ad_operator(alg, x @ basis) @ basis.T)
-        best = min(best, kernel_dimension(ad))
-    return best
+    x = rng_from(seed).standard_normal((draws, dim))
+    ad = (ad_operator(alg, x) if basis is None
+          else basis @ ad_operator(alg, x @ basis) @ basis.T)
+    s = np.linalg.svd(ad, compute_uv=False)
+    ranks = np.sum(s > 1e-8 * np.maximum(s[:, :1], 1.0), axis=1)
+    return dim - int(ranks.max(initial=0))
 
 
 @dataclass(frozen=True)

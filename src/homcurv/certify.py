@@ -64,6 +64,7 @@ ARMIJO = 1e-4
 MAX_BACKTRACKS = 40
 CONVERGED, STALLED, LINE_SEARCH, MAX_ITERS, FAILED = STOP_REASONS = (
     "converged", "stalled", "line-search", "max-iters", "failed")
+_CODE = {reason: k for k, reason in enumerate(STOP_REASONS)}
 
 
 @dataclass(frozen=True)
@@ -184,73 +185,62 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
 
     The start frames are evaluated once; after that every frame, value and
     gradient is the line search's accepted trial, evaluated at its
-    orthonormal frame.  A step length carries the unit 1/curvature: `unit`
-    is a curvature scale of the operator (certify passes 1/λ_max(G)), and
-    under G -> λG the operator, the gradient and `unit` all scale by 1/λ.
+    orthonormal frame.  Each start's lowest value, its frame and its stop
+    reason (an index into STOP_REASONS) live in arrays over all rows, written
+    at `run`, the rows still descending; the rest of its state (frame,
+    gradient, step, last and recent values, stall count) follows `run`, and a
+    row that stops is dropped from it.  A step length carries the unit
+    1/curvature: `unit` is a curvature scale of the operator (certify passes
+    1/λ_max(G)), and under G -> λG the operator, the gradient and `unit` all
+    scale by 1/λ.
     So the stop test |∇| <= grad_tol · unit, the first step
     1 / max(unit, |∇|) and the Barzilai-Borwein clamp [1e-12, 1e6] / unit
     read the same on every multiple of a metric.
     """
-    starts = len(draws)
-    final_sec = np.full(starts, np.nan)
-    final_v = np.zeros_like(draws)
-    reasons = [MAX_ITERS] * starts
     stall_scale = float(np.linalg.norm(cv.operator))
-
-    def retire(st, mask, reason):
-        """Record why the masked rows stopped (one reason or one per row); drop them."""
-        rows = st["row"][mask]
-        for r, why in zip(rows, np.broadcast_to(reason, mask.shape)[mask]):
-            reasons[r] = str(why)
-        final_sec[rows], final_v[rows] = st["best"][mask], st["best_v"][mask]
-        return {k: a[~mask] for k, a in st.items()}
-
-    st = {"row": np.arange(starts), "v": draws, "grad": np.zeros_like(draws),
-          "sec": np.full(starts, np.inf), "stalls": np.zeros(starts, dtype=int),
-          "best": np.full(starts, np.inf), "best_v": draws,
-          "recent": np.full((starts, NONMONOTONE), -np.inf)}
     v, sec, grad = _evaluate(cv, draws, within)
     # a dependent or non-finite start has no value for the stall test to
     # compare; it fails before the first round
     failed = np.isinf(sec)
-    if failed.any():
-        st = retire(st, failed, FAILED)
-        v, sec, grad = v[~failed], sec[~failed], grad[~failed]
+    reason = np.where(failed, _CODE[FAILED], _CODE[MAX_ITERS])
+    best, best_v = sec, np.where(failed[:, None], draws, v)
+    run = np.flatnonzero(~failed)
+    v, sec, grad = v[run], sec[run], grad[run]
+    last, stalls = np.full(len(run), np.inf), np.zeros(len(run), dtype=int)
+    recent = np.full((len(run), NONMONOTONE), -np.inf)
+    gn2 = np.vecdot(grad, grad)
+    step = 1.0 / np.maximum(unit, np.sqrt(gn2))
     for it in range(max_iters + 1):
-        gn2 = np.vecdot(grad, grad)
-        no_progress = (np.abs(st["sec"] - sec)
+        no_progress = (np.abs(last - sec)
                        <= STALL_TOL * np.maximum(np.abs(sec), stall_scale))
-        stalls = np.where(no_progress, st["stalls"] + 1, 0)
-        lower = sec < st["best"]
-        st["recent"][:, it % NONMONOTONE] = sec
-        st.update(prev_v=st["v"], prev_grad=st["grad"], v=v, sec=sec,
-                  grad=grad, gn2=gn2, stalls=stalls,
-                  best=np.where(lower, sec, st["best"]),
-                  best_v=np.where(lower[:, None], v, st["best_v"]))
-        failed = ~np.isfinite(gn2)
-        converged = gn2 <= (grad_tol * unit) ** 2
+        stalls = np.where(no_progress, stalls + 1, 0)
+        recent[:, it % NONMONOTONE] = sec
+        lower = sec < best[run]
+        up = run[lower]
+        best[up], best_v[up] = sec[lower], v[lower]
+        failed, converged = ~np.isfinite(gn2), gn2 <= (grad_tol * unit) ** 2
         done = failed | converged | (stalls >= STALL_STEPS)
         if done.any():
-            st = retire(st, done, np.where(failed, FAILED, np.where(
-                converged, CONVERGED, STALLED)))
-        if it == max_iters or not st["row"].size:
+            reason[run[done]] = np.where(failed, _CODE[FAILED], np.where(
+                converged, _CODE[CONVERGED], _CODE[STALLED]))[done]
+            run, v, sec, grad, gn2, step, stalls, recent = (a[~done] for a in (
+                run, v, sec, grad, gn2, step, stalls, recent))
+        if it == max_iters or not run.size:
             break
-        if it == 0:
-            step = 1.0 / np.maximum(unit, np.sqrt(st["gn2"]))
-        else:
-            dv, dg = st["v"] - st["prev_v"], st["grad"] - st["prev_grad"]
-            denom = np.vecdot(dg, dg)
-            step = np.divide(np.abs(np.vecdot(dv, dg)), denom,
-                             out=np.ones_like(denom), where=denom > 1e-300)
-            step = np.minimum(np.maximum(step, 1e-12 / unit), 1e6 / unit)
-        accepted, v, sec, grad = _line_search(
-            cv, st["v"], st["grad"], st["recent"].max(axis=1), st["gn2"],
-            step, within)
+        accepted, frames, secs, grads = _line_search(
+            cv, v, grad, recent.max(axis=1), gn2, step, within)
         if not accepted.all():
-            st = retire(st, ~accepted, LINE_SEARCH)
-            v, sec, grad = v[accepted], sec[accepted], grad[accepted]
-    retire(st, np.ones(st["row"].size, dtype=bool), MAX_ITERS)
-    return final_sec, final_v, reasons
+            reason[run[~accepted]] = _CODE[LINE_SEARCH]
+            run, v, sec, grad, stalls, recent = (a[accepted] for a in (
+                run, v, sec, grad, stalls, recent))
+            frames, secs, grads = frames[accepted], secs[accepted], grads[accepted]
+        dv, dg = frames - v, grads - grad
+        last, v, sec, grad, gn2 = sec, frames, secs, grads, np.vecdot(grads, grads)
+        denom = np.vecdot(dg, dg)
+        step = np.divide(np.abs(np.vecdot(dv, dg)), denom,
+                         out=np.ones_like(denom), where=denom > 1e-300)
+        step = np.minimum(np.maximum(step, 1e-12 / unit), 1e6 / unit)
+    return best, best_v, [STOP_REASONS[k] for k in reason.tolist()]
 
 
 def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
@@ -259,12 +249,13 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
     """Search the plane Grassmannian for nonpositive sectional curvature.
 
     Raises ValueError for parameters that no search would back: starts < 1,
-    max_iters < 0, or a tolerance that is not finite.
+    max_iters < 0, or a tolerance that is negative or not finite (a negative
+    zero_tol would report `positive` above planes of negative curvature).
     """
     if (starts < 1 or max_iters < 0
-            or not np.isfinite([grad_tol, zero_tol]).all()):
+            or not all(0 <= t < np.inf for t in (grad_tol, zero_tol))):
         raise ValueError(f"need starts >= 1, max_iters >= 0 and finite "
-                         f"tolerances, got {starts}, {max_iters}, "
+                         f"tolerances >= 0, got {starts}, {max_iters}, "
                          f"{grad_tol}, {zero_tol}")
     t0 = time.perf_counter()
     cv = Curvature(space, metric)
@@ -278,8 +269,7 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
     finals = tuple(None if r == FAILED else float(s)
                    for s, r in zip(secs, reasons))
     succeeded = [i for i, r in enumerate(reasons) if r != FAILED]
-    best = np.nan
-    best_v = np.zeros((2, n))
+    best, best_v = np.nan, np.zeros((2, n))
     if succeeded:
         i = min(succeeded, key=lambda k: secs[k])
         best, best_v = secs[i], frames[i].reshape(2, n) @ cv.basis

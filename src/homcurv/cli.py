@@ -289,8 +289,8 @@ def _cmd_certify(args, seed: int) -> int:
         raise CliError(f"--max-iters must be at least 0, got {args.max_iters}")
     for flag, value in (("--grad-tol", args.grad_tol),
                         ("--zero-tol", args.zero_tol)):
-        if not math.isfinite(value):
-            raise CliError(f"{flag} must be finite, got {value}")
+        if not 0 <= value < math.inf:
+            raise CliError(f"{flag} must be finite and at least 0, got {value}")
     space = _space_from_args(args)
     metric = _resolve_metric(space, args.metric, seed)
     report = certify(space, metric, seed=seed, starts=args.starts,

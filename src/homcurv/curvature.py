@@ -11,9 +11,9 @@ the familiar quarter/full split between the p- and h-parts of [x, y]).
 `_bracket_terms` gives [x, y], [x, Gy] and [Gx, y] for any batch of planes.
 With G = LLᵀ the rows of L⁻¹ are a G-orthonormal basis of p, in which x has
 the coordinates x′ = Lᵀx and the metric is the identity.  On the pairs of
-that basis the brackets make the normalized curvature operator R̂ on Λ²p: a
-4-tensor polarised into an algebraic curvature tensor and restricted to
-a < b, c < d.  A plane's numerator is then wᵀR̂w with w = x′ ∧ y′, its
+that basis the brackets (one ad product) make the normalized operator R̂ on
+Λ²p: a 4-tensor polarised into an algebraic curvature tensor and restricted
+to a < b, c < d.  A plane's numerator is then wᵀR̂w with w = x′ ∧ y′, its
 Gram determinant is |w|², so sectional curvature is a Rayleigh quotient of
 R̂, and its gradients are (2Ωy′, −2Ωx′) with Ω the antisymmetric matrix of
 R̂w.  `PlaneForm` does these Euclidean evaluations for any symmetric
@@ -30,9 +30,11 @@ NOISE_BAND), and the witness planes.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .algebra import bracket
+from .algebra import ad_operator, bracket
 from .metrics import check_symmetric_positive
 from .spaces import HomogeneousSpace
 
@@ -71,18 +73,34 @@ def four_term_numerator(space: HomogeneousSpace, metric: np.ndarray,
             - np.vecdot(bxx, byy @ metric_inv.T))
 
 
+@functools.cache
+def pair_tables(n: int):
+    """The pairs a < b of Λ²R^n as index arrays i, j, and the (n², pairs) map
+    W with vec(x ⊗ y) @ W = x ∧ y; built once per n and read-only."""
+    i, j = np.triu_indices(n, 1)
+    wedge = np.zeros((n * n, len(i)))
+    wedge[i * n + j, np.arange(len(i))] = 1.0
+    wedge[j * n + i, np.arange(len(i))] = -1.0
+    i.flags.writeable = j.flags.writeable = wedge.flags.writeable = False
+    return i, j, wedge
+
+
 def curvature_operator(space: HomogeneousSpace, metric: np.ndarray,
                        metric_inv: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Curvature operator on Λ²p in the basis e_a ∧ e_b, a < b, where e_a are
     the rows of `basis` in p-coordinates.
 
     Row (a, b) and column (c, d) hold R(e_a, e_b, e_c, e_d) in the convention
-    where the numerator of the plane (x, y) is R(x, y, x, y).
+    where the numerator of the plane (x, y) is R(x, y, x, y).  One product of
+    ad_{e_a} with the stacked rows (e; Ge) gives [e_a, e_b] and [e_a, G e_b];
+    [G e_a, e_b] = −[e_b, G e_a] is the second set transposed.
     """
     n, p = space.dim_p, space.p_basis
+    e, ge = basis @ p, basis @ metric.T @ p
+    both = np.concatenate([e, ge]) @ ad_operator(space.ambient, e).swapaxes(1, 2)
     # row (a, b): [e_a, e_b], [e_a, G e_b] and [G e_a, e_b], shape (n², dim k)
-    br, br_g, g_br = (t.reshape(n * n, -1) for t in _bracket_terms(
-        space, metric, basis[:, None], basis[None]))
+    br, br_g, g_br = (t.reshape(n * n, -1) for t in (
+        both[:, :n], both[:, n:], -both[:, n:].transpose(1, 0, 2)))
     # p-parts of [e_a, e_b], B⁺(e_a, e_b) and [e_a, G e_b] (B⁺(x, x) = [x, Gx])
     br_p, bp, br_g_p = br @ p.T, 0.5 * (br_g - g_br) @ p.T, br_g @ p.T
     # rows x_a y_b, columns x_c y_d: the B⁻, [x, y]_p and B⁺(x, y) terms
@@ -94,9 +112,11 @@ def curvature_operator(space: HomogeneousSpace, metric: np.ndarray,
     s = mixed.reshape(n, n, n, n).transpose(0, 2, 1, 3) - split.reshape(n, n, n, n)
     s = 0.5 * (s + s.transpose(1, 0, 2, 3))
     s = 0.5 * (s + s.transpose(0, 1, 3, 2))
-    r = (2.0 / 3.0) * (np.einsum("acdb->abcd", s) - np.einsum("adcb->abcd", s))
-    i, j = np.triu_indices(n, 1)
-    op = r[i, j][:, i, j]
+    # op[(a, b), (c, d)] = R(e_a, e_b, e_c, e_d) = ⅔(s[a, c, d, b] − s[a, d, c, b]),
+    # gathered from the blocks s[a, :, :, b] of the pairs a < b
+    i, j, _ = pair_tables(n)
+    block = s.transpose(0, 3, 1, 2)[i, j]
+    op = (2.0 / 3.0) * (block[:, i, j] - block[:, j, i])
     return 0.5 * (op + op.T)        # exactly symmetric, as the gradients assume
 
 
@@ -114,11 +134,7 @@ class PlaneForm:
         # vec(x ⊗ y) @ W = x ∧ y, and (Mw) @ Wᵀ is vec(Ω) for the antisymmetric
         # Ω with upper triangle Mw; each entry has one nonzero term, so both
         # products are exact
-        i, j = np.triu_indices(n, 1)
-        pairs = np.arange(len(i))
-        self._wedge_map = np.zeros((n * n, len(i)))
-        self._wedge_map[i * n + j, pairs] = 1.0
-        self._wedge_map[j * n + i, pairs] = -1.0
+        self._wedge_map = pair_tables(n)[2]
 
     def _wedge(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         outer = x[..., :, None] * y[..., None, :]

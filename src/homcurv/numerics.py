@@ -67,14 +67,6 @@ def kernel_and_gap(mat: np.ndarray,
     return vt[rank:], (float(s[rank - 1]) if rank else np.inf)
 
 
-def kernel_dimension(mat: np.ndarray, rtol: float = 1e-8) -> int:
-    s = np.linalg.svd(np.atleast_2d(mat), compute_uv=False)
-    if len(s) == 0:
-        return mat.shape[1]
-    cut = rtol * max(s[0], 1.0)
-    return int(mat.shape[1] - np.sum(s > cut))
-
-
 def symmetric_basis(n: int) -> np.ndarray:
     """Frobenius-orthonormal basis of symmetric n x n matrices, shape (m, n, n)."""
     mats = []

@@ -34,7 +34,7 @@ from .algebra import (
     rank,
 )
 from .certify import FAILED, _descend
-from .curvature import PlaneForm, four_term_numerator
+from .curvature import PlaneForm, four_term_numerator, pair_tables
 from .metrics import conjugate_metric
 from .numerics import cluster_values, kernel_and_gap, nullspace, rng_from
 from .spaces import HomogeneousSpace
@@ -83,7 +83,7 @@ class Sp2Symmetrization:
 
 def _commutator_form(space: HomogeneousSpace) -> PlaneForm:
     """|[x, y]|² / Gram as a plane form: BᵀB with B(e_a ∧ e_b) = [e_a, e_b]."""
-    i, j = np.triu_indices(space.dim_p, 1)
+    i, j, _ = pair_tables(space.dim_p)
     b = bracket(space.ambient, space.p_basis[i], space.p_basis[j])
     return PlaneForm(b @ b.T, space.dim_p)
 

@@ -21,6 +21,9 @@ from homcurv import (
     validate_algebra,
 )
 
+from homcurv.numerics import rng_from
+from homcurv.spaces import catalog_build, catalog_labels, listing_params
+
 SQ2 = np.sqrt(2.0)
 
 
@@ -165,6 +168,27 @@ def test_rank_values():
     assert rank(build_algebra("so", 7)) == 3
     assert rank(build_algebra("sp", 3)) == 3
     assert rank(build_algebra("u", 2)) == 2
+
+
+def _rank_by_draw(alg, basis=None, draws=8, seed=0):
+    """Oracle: one draw, one ad_x and one SVD at a time."""
+    dim = alg.dim if basis is None else basis.shape[0]
+    best, rng = dim, rng_from(seed)
+    for _ in range(draws):
+        x = rng.standard_normal(dim)
+        ad = (ad_operator(alg, x) if basis is None
+              else basis @ ad_operator(alg, x @ basis) @ basis.T)
+        s = np.linalg.svd(ad, compute_uv=False)
+        best = min(best, dim - int(np.sum(s > 1e-8 * max(s[0], 1.0))))
+    return best
+
+
+@pytest.mark.parametrize("label", catalog_labels())
+def test_batched_rank_matches_the_per_draw_rank(label):
+    space = catalog_build(label, **listing_params(label))
+    for basis in (None, space.h_basis):
+        assert rank(space.ambient, basis=basis) == _rank_by_draw(space.ambient, basis)
+    assert rank(space.ambient, draws=0) == space.ambient.dim
 
 
 def test_direct_sum():

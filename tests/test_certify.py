@@ -91,7 +91,9 @@ def test_disclaimer_present():
 
 
 @pytest.mark.parametrize("bad", [{"max_iters": -1}, {"starts": 0},
-                                 {"grad_tol": np.nan}, {"zero_tol": np.inf}])
+                                 {"grad_tol": np.nan}, {"zero_tol": np.inf},
+                                 {"grad_tol": -1.0}, {"zero_tol": -1000.0},
+                                 {"zero_tol": -1e-300}])
 def test_rejects_parameters_that_void_the_verdict(bad):
     # no evaluation, or no comparison with the threshold, would back it
     space = catalog_build("berger7")
@@ -197,6 +199,64 @@ def test_every_stop_reason_is_reachable(monkeypatch):
     r = certify(w11, g, starts=4)
     assert r.stop_reasons == ("line-search", "failed", "line-search", "line-search")
     assert all(np.isfinite(r.start_minima[i]) for i in (0, 2, 3))
+
+
+def test_starts_that_stop_in_different_rounds_keep_their_own_results(
+        monkeypatch):
+    # start 1 fails at its degenerate frame, the even starts converge at their
+    # partner planes in round 0, start 3's second line search is made to fail,
+    # and starts 5 and 7 descend from their drawn frames to the last rounds;
+    # each start must report the value of its own frame, wherever its row sat
+    # in the shrinking batch
+    space = catalog_build("cpn", n=2)
+    n = space.dim_p
+    _degenerate_starts(monkeypatch, {1})
+    partner, search = certify_mod._partner_frames, certify_mod._line_search
+    descend, batches, runs = certify_mod._descend, [], []
+
+    def even_partners(cv, draws):
+        even = (np.arange(len(draws)) % 2 == 0)[:, None]
+        return np.where(even, partner(cv, draws), draws)
+
+    def failing_second_search(*args):
+        accepted, *trials = search(*args)
+        batches.append(len(accepted))
+        if len(batches) == 2:
+            accepted[0] = False              # the first running row, start 3
+        return accepted, *trials
+
+    def recorded(cv, draws, *args):
+        runs.append((cv, draws, args, descend(cv, draws, *args)))
+        return runs[-1][3]
+
+    monkeypatch.setattr(certify_mod, "_partner_frames", even_partners)
+    monkeypatch.setattr(certify_mod, "_line_search", failing_second_search)
+    monkeypatch.setattr(certify_mod, "_descend", recorded)
+    r = certify(space, normal_metric(space), starts=8, max_iters=5)
+    assert r.stop_reasons[:5] == ("converged", "failed", "converged",
+                                  "line-search", "converged")
+    assert r.stop_reasons[6] == "converged" and r.start_minima[1] is None
+    assert set(r.stop_reasons[5::2]) <= {"converged", "stalled", "max-iters"}
+    assert batches[:3] == [3, 3, 2]
+    [(cv, draws, args, (secs, frames, _))] = runs
+    for i in (0, 2, 3, 4, 5, 6, 7):
+        assert r.start_minima[i] == secs[i]
+        again = cv.sectional(frames[i, :n] @ cv.basis, frames[i, n:] @ cv.basis)
+        assert abs(again - secs[i]) <= 1e-12 * max(1.0, abs(again)), i
+    # start 3 stopped above the minimum 1/2, and the round-0 starts report
+    # their own drawn axes
+    assert r.start_minima[3] > 0.5 + 1e-6
+    for i in (0, 2, 4, 6):
+        x = draws[i, :n] / np.linalg.norm(draws[i, :n])
+        np.testing.assert_allclose(frames[i, :n], x, rtol=0, atol=1e-14)
+    # starts 5 and 7 descended alone reach the same value and plane, so no
+    # row took over another's
+    for i in (5, 7):
+        sec, frame, _ = descend(cv, draws[i:i + 1], *args)
+        assert abs(sec[0] - secs[i]) <= 1e-9
+        planes = [np.outer(f[:n], f[:n]) + np.outer(f[n:], f[n:])
+                  for f in (frame[0], frames[i])]
+        np.testing.assert_allclose(*planes, rtol=0, atol=1e-6)
 
 
 def test_positive_needs_a_quorum_of_finished_starts(monkeypatch):

@@ -246,6 +246,10 @@ def test_certify_rejects_starts_below_one():
     (["berger7", "--grad-tol", "inf"], "--grad-tol must be finite"),
     (["stiefel", "--metric", "sample:0", "--zero-tol", "nan"],
      "--zero-tol must be finite"),
+    # below its minimum of -48.5, a negative threshold would read `positive`
+    (["stiefel", "--metric", "sample:0", "--zero-tol=-1000"],
+     "--zero-tol must be finite and at least 0"),
+    (["berger7", "--grad-tol=-1"], "--grad-tol must be finite and at least 0"),
 ])
 def test_certify_rejects_parameters_that_void_the_verdict(args, message):
     proc = run_cli("certify", *args, "--starts", "2")

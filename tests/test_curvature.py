@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from homcurv import bracket, catalog_build, coords_of
-from homcurv.curvature import NOISE_BAND, Curvature, b_plus
+from homcurv.curvature import NOISE_BAND, Curvature, b_plus, pair_tables
 from homcurv.curvature import four_term_numerator as batched_numerator
 from homcurv.isotypic import decompose
 from homcurv.metrics import diagonal_metric, normal_metric, sample_metric
@@ -61,6 +61,47 @@ def test_operator_matches_four_term_oracle(label):
             assert abs(cv.numerator(x, y) - ref) <= 1e-12 * max(1.0, abs(ref))
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
+
+
+def tensor_operator(space, metric, basis):
+    """Oracle: R̂ from the full tensor R[a, b, c, d] over all n⁴ index tuples,
+    with the three bracket sets taken pair by pair, restricted to a < b, c < d."""
+    n, p, gi = space.dim_p, space.p_basis, np.linalg.inv(metric)
+    e, ge = basis @ p, basis @ metric.T @ p
+    br, br_g, g_br = (bracket(space.ambient, u[:, None], v[None]).reshape(n * n, -1)
+                      for u, v in ((e, e), (e, ge), (ge, e)))
+    br_p, bp, br_g_p = br @ p.T, 0.5 * (br_g - g_br) @ p.T, br_g @ p.T
+    mixed = (0.5 * (br_g + g_br) @ br.T - 0.75 * br_p @ metric @ br_p.T
+             + bp @ gi @ bp.T)
+    split = br_g_p @ gi @ br_g_p.T
+    s = mixed.reshape(n, n, n, n).transpose(0, 2, 1, 3) - split.reshape(n, n, n, n)
+    s = 0.5 * (s + s.transpose(1, 0, 2, 3))
+    s = 0.5 * (s + s.transpose(0, 1, 3, 2))
+    r = (2.0 / 3.0) * (np.einsum("acdb->abcd", s) - np.einsum("adcb->abcd", s))
+    i, j = np.triu_indices(n, 1)
+    op = r[i, j][:, i, j]
+    return 0.5 * (op + op.T)
+
+
+@pytest.mark.parametrize("label", catalog_labels())
+def test_operator_matches_the_tensor_assembly(label):
+    space = catalog_build(label, **listing_params(label))
+    for metric in (normal_metric(space), sample_metric(space, seed=3)):
+        cv = Curvature(space, metric)
+        ref = tensor_operator(space, metric, cv.basis)
+        assert np.abs(cv.operator - ref).max() <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_plane_forms_of_one_dimension_share_read_only_pair_tables():
+    space = catalog_build("berger7")
+    berger = Curvature(space, normal_metric(space))
+    w11 = _sampled("w11")[1]
+    i, j, wedge = pair_tables(7)
+    assert berger._wedge_map is w11._wedge_map is wedge
+    assert len(i) == len(j) == wedge.shape[1] == 21 and np.all(i < j)
+    for table in (i, j, wedge):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 @pytest.mark.parametrize("label", ["berger7", "stiefel", "sp3mix"])
