@@ -4,8 +4,9 @@ Conventions used throughout the package:
 
 * The inner product is Q(x, y) = -Re tr(xy) on the matrix realization.  For
   the families built here it is positive definite and Ad-invariant.
-* Every algebra carries a Q-orthonormal basis, produced by Gram-Schmidt on a
-  documented seed basis in a fixed order.  Elements are plain 1-D float64
+* Every algebra carries a Q-orthonormal basis: that of a two-pass
+  Gram-Schmidt on a documented seed basis in a fixed order, where only the
+  diagonal seeds need projecting.  Elements are plain 1-D float64
   coordinate vectors with respect to that basis.
 * Structure constants C[i, j, k] = Q([e_i, e_j], e_k) are totally
   antisymmetric because the basis is orthonormal and Q is Ad-invariant.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import nullspace, orthonormalize_rows, rng_from
+from .numerics import nullspace, rng_from
 
 
 @dataclass(frozen=True)
@@ -52,62 +53,56 @@ def symplectic_form(n: int) -> np.ndarray:
 
 
 def quaternion_to_complex(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Embed the quaternionic matrix a + b j into complex 2n x 2n form."""
+    """Embed a + b j, or a stack of them, into complex 2n x 2n form."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    n = a.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = a
-    out[:n, n:] = b
-    out[n:, :n] = -np.conj(b)
-    out[n:, n:] = np.conj(a)
+    n = a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n] = a
+    out[..., :n, n:] = b
+    out[..., n:, :n] = -np.conj(b)
+    out[..., n:, n:] = np.conj(a)
     return out
 
 
-def _mat(n: int, entries: dict[tuple[int, int], complex]) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    for (i, j), v in entries.items():
-        m[i, j] = v
-    return m
-
-
-def _seed_so(n: int) -> list[np.ndarray]:
-    return [_mat(n, {(i, j): 1, (j, i): -1})
-            for i in range(n) for j in range(i + 1, n)]
-
-
-def _seed_su(n: int) -> list[np.ndarray]:
-    seeds = [_mat(n, {(k, k): 1j, (k + 1, k + 1): -1j}) for k in range(n - 1)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            seeds.append(_mat(n, {(i, j): 1, (j, i): -1}))
-            seeds.append(_mat(n, {(i, j): 1j, (j, i): 1j}))
+def _write_pairs(seeds: np.ndarray, start: int, values) -> np.ndarray:
+    """From row `start` on, write one seed per (v, w) in `values` for each
+    pair i < j in lexicographic order: v at (i, j) and w at (j, i)."""
+    k = np.arange(seeds.shape[-1])
+    i, j = np.nonzero(k[:, None] < k)
+    rows = start + len(values) * np.arange(len(i))
+    for t, (v, w) in enumerate(values):
+        seeds[rows + t, i, j], seeds[rows + t, j, i] = v, w
     return seeds
 
 
-def _seed_u(n: int) -> list[np.ndarray]:
-    return _seed_su(n) + [1j * np.eye(n, dtype=complex)]
+def _seed_so(n: int) -> np.ndarray:
+    return _write_pairs(np.zeros((n * (n - 1) // 2, n, n), dtype=complex), 0, [(1, -1)])
 
 
-def _seed_sp(n: int) -> list[np.ndarray]:
-    zero = np.zeros((n, n), dtype=complex)
-    seeds = []
-    # a-part: anti-Hermitian quaternionically-diagonal-free block, u(n) shaped
-    for k in range(n):
-        seeds.append(quaternion_to_complex(_mat(n, {(k, k): 1j}), zero))
-    for i in range(n):
-        for j in range(i + 1, n):
-            seeds.append(quaternion_to_complex(_mat(n, {(i, j): 1, (j, i): -1}), zero))
-            seeds.append(quaternion_to_complex(_mat(n, {(i, j): 1j, (j, i): 1j}), zero))
-    # b-part: complex symmetric
-    for k in range(n):
-        seeds.append(quaternion_to_complex(zero, _mat(n, {(k, k): 1})))
-        seeds.append(quaternion_to_complex(zero, _mat(n, {(k, k): 1j})))
-    for i in range(n):
-        for j in range(i + 1, n):
-            seeds.append(quaternion_to_complex(zero, _mat(n, {(i, j): 1, (j, i): 1})))
-            seeds.append(quaternion_to_complex(zero, _mat(n, {(i, j): 1j, (j, i): 1j})))
-    return seeds
+def _seed_su(n: int) -> np.ndarray:
+    k = np.arange(n - 1)
+    seeds = np.zeros((n * n - 1, n, n), dtype=complex)
+    seeds[k, k, k], seeds[k, k + 1, k + 1] = 1j, -1j
+    return _write_pairs(seeds, n - 1, [(1, -1), (1j, 1j)])
+
+
+def _seed_u(n: int) -> np.ndarray:
+    return np.concatenate([_seed_su(n), 1j * np.eye(n)[None]])
+
+
+def _seed_sp(n: int) -> np.ndarray:
+    k = np.arange(n)
+    # a-part: anti-Hermitian, u(n) shaped, with i E_kk as its diagonal seeds
+    a = np.zeros((n * n, n, n), dtype=complex)
+    a[k, k, k] = 1j
+    _write_pairs(a, n, [(1, -1), (1j, 1j)])
+    # b-part: complex symmetric, E_kk and i E_kk for each k, then the pairs
+    b = np.zeros((n * (n + 1), n, n), dtype=complex)
+    b[2 * k, k, k], b[2 * k + 1, k, k] = 1, 1j
+    _write_pairs(b, 2 * n, [(1, 1), (1j, 1j)])
+    return np.concatenate([quaternion_to_complex(a, np.zeros_like(a)),
+                           quaternion_to_complex(np.zeros_like(b), b)])
 
 
 _FAMILIES = {
@@ -118,40 +113,31 @@ _FAMILIES = {
 }
 
 
-def q_inner_matrices(x: np.ndarray, y: np.ndarray) -> float:
-    return float(-np.real(np.trace(x @ y)))
+def _orthonormalize_matrices(seeds: np.ndarray) -> np.ndarray:
+    """The result of a two-pass Gram-Schmidt on the seeds in order, for Q.
 
-
-def _orthonormalize_matrices(seeds: list[np.ndarray], msize: int) -> np.ndarray:
-    """Gram-Schmidt (two passes) on the seeds in order, for Q.
-
-    Q(w, u) = -Re sum w_ab u_ba is an exact signed zero when the support of w
-    misses the transposed support of u, and subtracting a zero multiple of u
-    changes no value of w.  So each pass projects w only onto the earlier
-    vectors whose transposed support meets the current support of w, in the
-    same order as the dense loop; the result equals it entry for entry
-    (up to the sign of zero entries).
+    A seed with an off-diagonal entry is exactly Q-orthogonal to every other
+    seed, so Gram-Schmidt only divides it by its norm √Q(s, s), which is
+    exact for the integer entries of the seeds.  The diagonal seeds (the
+    Cartan seeds and u(n)'s center) run the two passes among themselves, in
+    order, on their diagonals: Q(x, y) of diagonal matrices is -Re Σ x_aa y_aa,
+    the trace of xy term by term.  The seeds are independent; none is dropped.
     """
-    if not seeds:
-        return np.zeros((0, msize, msize), dtype=complex)
-    out: list[np.ndarray] = []
-    supports = np.zeros((len(seeds), msize * msize), dtype=bool)  # transposed
-    for s in seeds:
-        w = s.astype(complex)
+    def q(x, y):
+        return -(x * y).sum().real
+
+    basis = seeds / np.sqrt(-np.einsum("kab,kba->k", seeds, seeds).real)[:, None, None]
+    diagonals = np.diagonal(seeds, axis1=1, axis2=2)
+    done: list[np.ndarray] = []
+    for k in np.flatnonzero(np.count_nonzero(seeds, axis=(1, 2))
+                            == np.count_nonzero(diagonals, axis=1)):
+        w = diagonals[k]
         for _ in range(2):
-            start = 0
-            while True:
-                hits = np.flatnonzero(supports[start:len(out)] @ (w != 0).ravel())
-                if hits.size == 0:
-                    break
-                u = out[start + hits[0]]
-                w = w - q_inner_matrices(w, u) * u
-                start += hits[0] + 1
-        nrm = np.sqrt(q_inner_matrices(w, w))
-        if nrm > 1e-12:
-            supports[len(out)] = (w != 0).T.ravel()
-            out.append(w / nrm)
-    return np.array(out)
+            for u in done:
+                w = w - q(w, u) * u
+        done.append(w / np.sqrt(q(w, w)))
+        basis[k] = np.diag(done[-1])
+    return basis
 
 
 def _trace_pairing(basis: np.ndarray) -> np.ndarray:
@@ -163,9 +149,10 @@ def _trace_pairing(basis: np.ndarray) -> np.ndarray:
 def _structure_constants(basis: np.ndarray) -> np.ndarray:
     """C[i, j, k] = Q([e_i, e_j], e_k) from the basis matrices."""
     d, m = basis.shape[0], basis.shape[-1]
-    if d == 0:
-        return np.zeros((0, 0, 0))
-    prod = basis[:, None] @ basis[None]
+    # every basis matrix has at most one nonzero entry per row, so each entry
+    # of a product e_i e_j is a single term, and one GEMM gives them exactly
+    prod = (basis.reshape(d * m, m) @ basis.transpose(1, 0, 2).reshape(m, d * m)
+            ).reshape(d, m, d, m).transpose(0, 2, 1, 3)
     comm = prod - prod.transpose(1, 0, 2, 3)
     c = -np.real(comm.reshape(d * d, m * m) @ _trace_pairing(basis)).reshape(d, d, d)
     c[np.abs(c) < 1e-14] = 0.0
@@ -177,23 +164,23 @@ def build_algebra(family: str, n: int) -> LieAlgebra:
 
     Seed order is fixed: so(n) pairs (i<j) lexicographically; su(n) traceless
     diagonals first, then for each pair the real and imaginary off-diagonal
-    seeds; u(n) appends the center; sp(n) lists the a-block in u(n) order,
-    then the b-block diagonal and off-diagonal seeds.
+    seeds; u(n) appends the center; sp(n) lists the a-block (i E_kk for each
+    k, then the pairs as in su(n)), then the b-block (E_kk and i E_kk for
+    each k, then each pair's real and imaginary symmetric seeds).  The basis
+    is, entry for entry, the dense two-pass Gram-Schmidt's on these seeds.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     seed_fn, msize_fn, tag = _FAMILIES[family]
-    msize = msize_fn(n)
-    basis = _orthonormalize_matrices(seed_fn(n), msize)
-    alg = LieAlgebra(
+    basis = _orthonormalize_matrices(seed_fn(n))
+    return LieAlgebra(
         name=f"{family}({n})",
         dim=basis.shape[0],
         structure_constants=_structure_constants(basis),
-        realization=MatrixRealization(msize, basis, tag),
+        realization=MatrixRealization(msize_fn(n), basis, tag),
     )
-    return alg
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:

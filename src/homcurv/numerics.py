@@ -40,13 +40,7 @@ def orthonormalize_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def nullspace(mat: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the kernel, one vector per row.
-
-    A matrix with at least as many rows as columns takes the thin SVD, which
-    already holds every right singular vector; only a wide matrix needs the
-    full one for the vectors beyond its row count.  The left singular vectors
-    are never used.
-    """
+    """Orthonormal basis of the kernel, one vector per row."""
     return kernel_and_gap(mat, rtol)[0]
 
 
@@ -55,33 +49,34 @@ def kernel_and_gap(mat: np.ndarray,
     """`nullspace` plus the smallest singular value kept out of the kernel.
 
     The gap bounds |mat @ v| / |v| from below for every v orthogonal to the
-    kernel; it is inf when the kernel is the whole space.
+    kernel; it is inf when the kernel is the whole space.  Left singular
+    vectors are never used.  A matrix with at least as many rows as columns
+    takes the thin SVD, which holds every right singular vector, and one with
+    at least 11/6 times as many (LAPACK dgesdd's own crossover) is factored
+    QR first, so that only R takes it: dgesdd takes the same steps, but the
+    rows x columns left factor is never formed.
     """
     mat = np.atleast_2d(mat)
     if mat.size == 0:
         return np.eye(mat.shape[1]), np.inf
+    if mat.shape[0] >= mat.shape[1] * 11 // 6:
+        mat = np.linalg.qr(mat, mode="r")
     _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    smax = s[0] if len(s) else 0.0
-    cut = rtol * max(smax, 1.0)
+    cut = rtol * max(s[0], 1.0)
     rank = int(np.sum(s > cut))
     return vt[rank:], (float(s[rank - 1]) if rank else np.inf)
 
 
 def symmetric_basis(n: int) -> np.ndarray:
-    """Frobenius-orthonormal basis of symmetric n x n matrices, shape (m, n, n)."""
-    mats = []
-    for i in range(n):
-        m = np.zeros((n, n))
-        m[i, i] = 1.0
-        mats.append(m)
-    r = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = r
-            m[j, i] = r
-            mats.append(m)
-    return np.array(mats)
+    """Frobenius-orthonormal basis of symmetric n x n matrices, shape (m, n, n):
+    the diagonal units, then (E_ij + E_ji)/√2 for i < j lexicographically."""
+    k = np.arange(n)
+    i, j = np.nonzero(k[:, None] < k)
+    mats = np.zeros((n + len(i), n, n))
+    mats[k, k, k] = 1.0
+    rows = n + np.arange(len(i))
+    mats[rows, i, j] = mats[rows, j, i] = 1.0 / np.sqrt(2.0)
+    return mats
 
 
 class ClusterError(RuntimeError):

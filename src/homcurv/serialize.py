@@ -28,9 +28,19 @@ def sparse_triplets(tensor: np.ndarray) -> list[list]:
 
 
 def dense_from_triplets(shape: tuple[int, ...], rows: list[list]) -> np.ndarray:
+    """Inverse of `sparse_triplets`, as one index assignment; ValueError
+    unless every row holds len(shape) integer indices in range and a finite
+    value."""
     out = np.zeros(shape)
-    for *ijk, v in rows:
-        out[tuple(ijk)] = v
+    if any(len(row) != out.ndim + 1 for row in rows):
+        raise ValueError(f"each triplet must hold {out.ndim} indices and a value")
+    table = np.asarray(rows, dtype=float).reshape(len(rows), out.ndim + 1)
+    index, values = table[:, :-1], table[:, -1]
+    if not (np.all(np.isfinite(values)) and np.all(
+            (index == np.floor(index)) & (index >= 0) & (index < out.shape))):
+        raise ValueError("a triplet has a non-finite value or an index that is "
+                         f"not an integer in range for shape {out.shape}")
+    out[tuple(index.astype(int).T)] = values
     return out
 
 
@@ -109,23 +119,31 @@ def space_from_document(doc: dict) -> HomogeneousSpace:
     ambient = algebra_from_name(doc["ambient"])
     stored = doc.get("structure_constants")
     if stored is not None:
-        c = dense_from_triplets(tuple(stored["shape"]), stored["triplets"])
+        try:
+            c = dense_from_triplets(tuple(stored["shape"]), stored["triplets"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"structure_constants: {exc}") from None
         if not np.array_equal(c, ambient.structure_constants):
             raise ValueError("stored structure constants do not match the "
                              f"rebuilt ambient algebra {doc['ambient']}")
-    torus = doc.get("torus_generator")
 
-    def basis(rows):
-        arr = np.asarray(rows, dtype=float)
+    def array(field):
+        try:
+            arr = np.asarray(doc[field], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{field}: {exc}") from None
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{field} has a non-finite entry")
         return arr.reshape(0, ambient.dim) if arr.size == 0 else arr
 
     space = HomogeneousSpace(
         label=doc["label"],
         params=tuple((k, int(v)) for k, v in doc.get("params", {}).items()),
         ambient=ambient,
-        h_basis=basis(doc["h_basis"]),
-        p_basis=basis(doc["p_basis"]),
-        torus_generator=None if torus is None else np.asarray(torus, dtype=float),
+        h_basis=array("h_basis"),
+        p_basis=array("p_basis"),
+        torus_generator=(None if doc.get("torus_generator") is None
+                         else array("torus_generator")),
         notes=doc.get("notes", ""),
     )
     _validate_space(space)

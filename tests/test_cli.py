@@ -114,6 +114,19 @@ def test_tampered_document_is_rejected(tmp_path):
     assert "structure constants" in stderr_error(proc)
 
 
+def test_malformed_document_is_a_load_error(tmp_path):
+    # an out-of-range triplet index used to escape as a bare IndexError
+    path = tmp_path / "bad.json"
+    assert run_cli("build", "berger7", "--out", str(path)).returncode == 0
+    doc = json.loads(path.read_text())
+    doc["structure_constants"]["triplets"][0][0] = 999
+    path.write_text(json.dumps(doc))
+    proc = run_cli("decompose", str(path))
+    assert proc.returncode == 2
+    assert stderr_error(proc).startswith(f"cannot load space from {path}: "
+                                         "structure_constants")
+
+
 def test_missing_required_param_is_rejected():
     proc = run_cli("build", "sp2circle")
     assert proc.returncode == 2

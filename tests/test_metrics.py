@@ -72,6 +72,25 @@ def test_sampler_draws_are_the_sampled_metrics_bit_for_bit():
             assert sample_metric(space, seed).tobytes() == g.tobytes()
 
 
+# eigvalsh(sample_metric(space, 0)) as built by the dense Gram-Schmidt and a
+# direct SVD of the commutant matrix; a rotated commutant basis moves them
+SAMPLE0_SPECTRA = {
+    "berger13": [0.1] * 5 + [0.177274252097596] * 8,
+    "sp3mix": ([0.1] + [0.6732138126387] * 3 + [1.058663921244121] * 3
+               + [1.313024711691883] * 4 + [1.484606260695711] * 4),
+    "wallach12": [0.1] * 4 + [0.2213460038573207] * 4 + [0.469088807307988] * 4,
+    "w11": [0.1] * 3 + [0.2388394149091572] * 4,
+}
+
+
+@pytest.mark.parametrize("label", sorted(SAMPLE0_SPECTRA))
+def test_sample_metric_spectrum_is_pinned(label):
+    from homcurv.spaces import listing_params
+    space = catalog_build(label, **listing_params(label))
+    vals = np.linalg.eigvalsh(sample_metric(space, 0))
+    assert np.allclose(vals, SAMPLE0_SPECTRA[label], rtol=0, atol=1e-12)
+
+
 def test_validate_metric_reports_the_condition_number():
     space = catalog_build("wallach6")
     dec = decompose(space)

@@ -1,5 +1,6 @@
 """Tests for the shared linear-algebra helpers."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from homcurv import catalog_build
@@ -50,3 +51,49 @@ def test_commutant_basis_takes_the_thin_svd(monkeypatch):
     symmetric_commutant_basis(space)
     assert flags and not any(flags)
 
+
+def _plain_svd_kernel_and_gap(mat, rtol=1e-10):
+    """kernel_and_gap as one np.linalg.svd call on the matrix itself."""
+    _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    rank = int(np.sum(s > rtol * max(s[0], 1.0)))
+    return vt[rank:], (float(s[rank - 1]) if rank else np.inf)
+
+
+def _assert_same_as_plain_svd(mat):
+    kernel, gap = kernel_and_gap(mat)
+    plain_kernel, plain_gap = _plain_svd_kernel_and_gap(mat)
+    assert kernel.shape == plain_kernel.shape
+    assert np.array_equal(kernel, plain_kernel)
+    assert gap == plain_gap
+
+
+def test_kernel_matches_plain_svd_on_every_commutant_matrix(monkeypatch):
+    # tall matrices are factored QR first; the SVD of R must give the same
+    # bits as the SVD of the matrix, or every sampled metric moves
+    import homcurv.isotypic
+    from homcurv.spaces import catalog_labels, listing_params
+    seen = []
+
+    def recording(mat, rtol=1e-10):
+        seen.append(mat)
+        return nullspace(mat, rtol)
+
+    monkeypatch.setattr(homcurv.isotypic, "nullspace", recording)
+    for label in catalog_labels():
+        symmetric_commutant_basis(catalog_build(label, **listing_params(label)))
+    assert len(seen) == 21
+    assert any(m.shape[0] >= m.shape[1] * 11 // 6 for m in seen)
+    for mat in seen:
+        _assert_same_as_plain_svd(mat)
+
+
+@pytest.mark.parametrize("rows,cols,rank", [
+    (60, 20, 12),     # well past the crossover
+    (22, 12, 7),      # at the crossover, 12 * 11 // 6 = 22
+    (21, 12, 7),      # one row short of it: the plain SVD
+    (40, 25, 25),     # full column rank
+])
+def test_kernel_matches_plain_svd_on_tall_matrices(rows, cols, rank):
+    rng = np.random.default_rng(rows * cols)
+    _assert_same_as_plain_svd(rng.standard_normal((rows, rank))
+                              @ rng.standard_normal((rank, cols)))

@@ -134,3 +134,47 @@ def test_stored_full_documents_still_reload(name, label, params):
     # LAPACK build
     assert np.max(np.abs(back.h_basis - fresh.h_basis)) < 1e-13
     assert np.max(np.abs(back.p_basis - fresh.p_basis)) < 1e-13
+
+
+def _corrupt_index(doc):
+    doc["structure_constants"]["triplets"][0][0] = 999
+
+
+def _corrupt_arity(doc):
+    del doc["structure_constants"]["triplets"][0][1:3]
+
+
+def _corrupt_basis(doc):
+    doc["h_basis"][0][0] = float("nan")
+
+
+def _corrupt_shape(doc):
+    doc["structure_constants"]["shape"] = [5, 5]
+
+
+@pytest.mark.parametrize("corrupt,field", [
+    (_corrupt_index, "structure_constants: a triplet has a non-finite value or an index"),
+    (_corrupt_arity, "structure_constants: each triplet must hold 3 indices"),
+    (_corrupt_basis, "h_basis has a non-finite entry"),
+    (_corrupt_shape, "structure_constants: each triplet must hold 2 indices"),
+])
+def test_malformed_document_is_a_value_error_naming_the_field(corrupt, field):
+    doc = load_json(os.path.join(DATA, "wallach6.json"))
+    corrupt(doc)
+    with pytest.raises(ValueError, match=field):
+        space_from_document(doc)
+
+
+def test_non_finite_torus_generator_is_rejected():
+    doc = through_json(space_document(catalog_build("berger7"), full=True))
+    doc["torus_generator"][0] = float("inf")
+    with pytest.raises(ValueError, match="torus_generator has a non-finite entry"):
+        space_from_document(doc)
+
+
+def test_dense_from_triplets_rejects_fractional_and_non_finite_rows():
+    with pytest.raises(ValueError, match="index"):
+        dense_from_triplets((2, 2), [[0.5, 1, 1.0]])
+    with pytest.raises(ValueError, match="non-finite value"):
+        dense_from_triplets((2, 2), [[0, 1, float("nan")]])
+    assert dense_from_triplets((2, 2), []).shape == (2, 2)
