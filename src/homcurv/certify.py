@@ -1,31 +1,32 @@
 """Multistart descent search for nonpositively curved planes.
 
 The search runs in the coordinates x′ = Lᵀx (G = LLᵀ) of `Curvature`, where
-the metric is the identity.  Each start draws a random axis x and pairs it
-with its best partner: for a unit x, the planes (x, y) with y orthogonal to
-x have the Rayleigh quotients of the Jacobi operator J_x as their values, so
-the start frame's y is the lowest eigenvector of J_x on the complement of x.
-On many metrics that plane is already a critical point at the minimum, and
-the start stops before its first step.  From that frame each start descends
-the sectional curvature of the spanned plane, with a Barzilai-Borwein trial
-step, nonmonotone Armijo backtracking and an orthonormalized frame after
-every accepted step.  The Armijo test compares a trial with the largest of the
-start's last NONMONOTONE values, not with its current one
-(Grippo-Lampariello-Lucidi), so most Barzilai-Borwein steps pass at once; a
-value may rise for a while, and each start reports the lowest value it
-reached and the plane where it reached it.
+the metric is the identity.  One call of rng_from(seed, 1) draws all starts
+(draw scheme 2), so fewer starts draw a prefix of more.  Each start pairs
+its drawn axis x with its best partner: for a unit x, the planes (x, y) with
+y orthogonal to x have the Rayleigh quotients of the Jacobi operator J_x as
+their values, so the start frame's y is the lowest eigenvector of J_x on the
+complement of x.  On many metrics that plane is already a critical point at
+the minimum, and the start stops before its first step.  From that frame
+each start descends the sectional curvature of the spanned plane, with a
+Barzilai-Borwein trial step, nonmonotone Armijo backtracking and an
+orthonormalized frame after every accepted step.  The Armijo test compares
+a trial with the largest of the start's last NONMONOTONE values, not with
+its current one (Grippo-Lampariello-Lucidi), so most Barzilai-Borwein steps
+pass at once; a value may rise for a while, and each start reports the
+lowest value it reached and the plane where it reached it.
 All starts descend as one batch: every round evaluates the planes of the
 starts still running in one product against the curvature operator, while
 each start keeps its own step, its own backtracking and its own stop.  Every
-trial is evaluated once, at its orthonormal frame, where the Gram
-determinant is 1: the value and the gradients come from one call, and an
-accepted trial hands both to the next round.  A trial whose Gram determinant
-fails the dependence test (DEPENDENT_TOL) or whose value is not finite is
-rejected.  A start stops as `converged` when its gradient, measured in the
-metric's scale, falls below grad_tol, as `stalled` when its value has stopped
-moving either way relative to the curvature scale (see STALL_TOL), as
-`line-search` when no step passes the Armijo test, at `max-iters`, or as
-`failed` when its start frame is dependent or its values are not finite.
+trial is evaluated once, at its orthonormal frame, where the Gram determinant
+is 1: the value and the gradients come from one call, and an accepted trial
+hands both to the next round.  A trial whose Gram determinant fails the
+dependence test (DEPENDENT_TOL) or whose value is not finite is rejected.  A
+start stops as `converged` when its gradient, measured in the metric's scale,
+falls below grad_tol, as `stalled` when its value has stopped moving either
+way relative to the curvature scale (see STALL_TOL), as `line-search` when no
+step passes the Armijo test, at `max-iters`, or as `failed` when its start
+frame is dependent or its values are not finite.
 
 Finding a plane at or below the zero threshold is conclusive.  The threshold
 is zero_tol / λ_max(G): it equals zero_tol for the normal metric and, like
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import DEPENDENT_TOL, Curvature, PlaneForm
-from .numerics import rng_from
+from .numerics import DRAW_SCHEME, rng_from
 from .spaces import HomogeneousSpace
 
 DISCLAIMER = ("a positive verdict means no nonpositively curved plane was "
@@ -84,6 +85,7 @@ class CertifyReport:
     zero_threshold: float            # zero_tol / λ_max(G), what the minimum is compared with
     seed: int
     disclaimer: str
+    draw_scheme: int = DRAW_SCHEME   # how the starts were drawn
     wall_time: float = field(compare=False, default=0.0)
 
 
@@ -261,8 +263,7 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
     cv = Curvature(space, metric)
     zero_threshold = zero_tol / cv.max_eigenvalue
     n = space.dim_p
-    draws = np.array([rng_from(seed, s).standard_normal(2 * n)
-                      for s in range(starts)]).reshape(starts, 2, n)
+    draws = rng_from(seed, 1).standard_normal((starts, 2, n))
     secs, frames, reasons = _descend(
         cv, _partner_frames(cv, (draws @ cv.factor).reshape(starts, 2 * n)),
         max_iters, grad_tol, 1.0 / cv.max_eigenvalue)
@@ -273,9 +274,7 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
     if succeeded:
         i = min(succeeded, key=lambda k: secs[k])
         best, best_v = secs[i], frames[i].reshape(2, n) @ cv.basis
-    if not succeeded:
-        verdict = "inconclusive"
-    elif best <= zero_threshold:
+    if best <= zero_threshold:          # False for NaN, when no start finished
         verdict = "nonpositive-witness"
     elif 2 * len(succeeded) < starts:
         verdict = "inconclusive"       # quorum: half the starts must finish

@@ -30,7 +30,7 @@ from .certify import certify
 from .curvature import DEPENDENT_TOL, Curvature
 from .isotypic import decompose
 from .metrics import metric_from_spec, metric_sampler, validate_metric
-from .numerics import rng_from
+from .numerics import DRAW_SCHEME, rng_from
 from .obstructions import (
     commuting_witness,
     min_eigenvalue_witness,
@@ -238,7 +238,8 @@ def _cmd_obstruct(args, seed: int) -> int:
     space = _space_from_args(args)
     checks = (["commuting", "min-eigenvalue", "rank"]
               if args.check == "all" else [args.check])
-    body = {"label": space.label, "metric_provenance": args.metric}
+    body = {"label": space.label, "metric_provenance": args.metric,
+            "draw_scheme": DRAW_SCHEME}
     parity_ok = True
     if "rank" in checks:
         rp = rank_parity_check(space)

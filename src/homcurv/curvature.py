@@ -17,16 +17,15 @@ to a < b, c < d.  A plane's numerator is then wᵀR̂w with w = x′ ∧ y′, i
 Gram determinant is |w|², so sectional curvature is a Rayleigh quotient of
 R̂, and its gradients are (2Ωy′, −2Ωx′) with Ω the antisymmetric matrix of
 R̂w.  `PlaneForm` does these Euclidean evaluations for any symmetric
-operator (the witness searches use it for |[x, y]|²), with one quotient rule
-for the gradients, which `orthonormal_gradient` feeds an orthonormal frame
-with d = 1 on every trial of the plane searches.  For a fixed x the
-numerator is a quadratic form in y, the Jacobi operator J_x = A R̂ Aᵀ with
-row b of A equal to x ∧ e_b (`jacobi_operator`); certify starts each descent
-at its lowest eigenvector on the complement of x.  `Curvature` holds L and
-L⁻¹, and its public evaluations take p-coordinates.  On the planes
-themselves the brackets give `four_term_numerator`: one batch for the planes
-so close to flat that wᵀR̂w is within its own rounding noise (see
-NOISE_BAND), and the witness planes.
+operator (the witness searches use it for |[x, y]|²), with no quotient on
+the orthonormal frames of the plane searches.  For a fixed x the numerator
+is a quadratic form in y, the Jacobi operator J_x = A R̂ Aᵀ with row b of A
+equal to x ∧ e_b (`jacobi_operator`); certify starts each descent at its
+lowest eigenvector on the complement of x.  `Curvature` holds L and L⁻¹,
+and its public evaluations take p-coordinates.  On the planes themselves
+the brackets give `four_term_numerator`: one batch for the planes so close
+to flat that wᵀR̂w is within its own rounding noise (see NOISE_BAND), and
+the witness planes.
 """
 from __future__ import annotations
 
@@ -146,11 +145,13 @@ class PlaneForm:
         """The numerator wᵀMw."""
         return np.vecdot(w, mw)
 
-    def _gradients(self, mw: np.ndarray, x: np.ndarray, y: np.ndarray):
-        """(2Ωy, −2Ωx) for the antisymmetric Ω whose upper triangle is mw."""
-        n = x.shape[-1]
+    def _frame_terms(self, x: np.ndarray, y: np.ndarray):
+        """The numerator wᵀMw and (2Ωy, −2Ωx), for the antisymmetric Ω
+        whose upper triangle is Mw."""
+        w, n = self._wedge(x, y), x.shape[-1]
+        mw = w @ self.operator
         omega = (mw @ self._wedge_map.T).reshape(mw.shape[:-1] + (n, n))
-        return (2.0 * (omega @ y[..., None])[..., 0],
+        return (self._value(w, mw, x, y), 2.0 * (omega @ y[..., None])[..., 0],
                 -2.0 * (omega @ x[..., None])[..., 0])
 
     def _gram_terms(self, x: np.ndarray, y: np.ndarray, check: bool = False):
@@ -161,17 +162,6 @@ class PlaneForm:
         if check and (d <= DEPENDENT_TOL * xx * yy).any():
             raise ValueError("plane vectors are numerically dependent")
         return xx, yy, xy, d
-
-    def _quotient_rule(self, x: np.ndarray, y: np.ndarray, dx: np.ndarray,
-                       dy: np.ndarray, d):
-        """Sectional value and gradients of frames with Gram determinant d,
-        given ½∇d as dx, dy (x and y themselves at orthonormal frames)."""
-        w = self._wedge(x, y)
-        mw = w @ self.operator
-        sec = self._value(w, mw, x, y) / d
-        fx, fy = self._gradients(mw, x, y)
-        s2, d = 2 * sec[..., None], np.asarray(d)[..., None]
-        return sec, (fx - s2 * dx) / d, (fy - s2 * dy) / d
 
     def _numerator(self, x: np.ndarray, y: np.ndarray):
         w = self._wedge(x, y)
@@ -193,7 +183,9 @@ class PlaneForm:
         """Sectional value and gradients at orthonormal frames (x, y): the
         Gram determinant is 1 and is not computed, so the value is the
         numerator and the gradients are (2Ωy − 2·sec·x, −2Ωx − 2·sec·y)."""
-        return self._quotient_rule(x, y, x, y, 1.0)
+        sec, fx, fy = self._frame_terms(x, y)
+        s2 = 2 * sec[..., None]
+        return sec, fx - s2 * x, fy - s2 * y
 
 
 class Curvature(PlaneForm):
@@ -212,9 +204,9 @@ class Curvature(PlaneForm):
                              f"dim p = {space.dim_p}")
         self.max_eigenvalue = float(check_symmetric_positive(metric)[1][-1])
         self.space, self.gm = space, metric
-        self.gm_inv = np.linalg.inv(metric)
         self.factor = np.linalg.cholesky(metric)
         self.basis = np.linalg.inv(self.factor)
+        self.gm_inv = self.basis.T @ self.basis      # G⁻¹ = L⁻ᵀL⁻¹
         super().__init__(curvature_operator(space, metric, self.gm_inv,
                                             self.basis), space.dim_p)
         self._noise_scale = NOISE_BAND * float(np.linalg.norm(self.operator))
@@ -236,9 +228,12 @@ class Curvature(PlaneForm):
         """Sectional value plus its gradients in both plane vectors."""
         x, y = x @ self.factor, y @ self.factor
         xx, yy, xy, d = self._gram_terms(x, y, check=True)
-        xx, yy, xy = xx[..., None], yy[..., None], xy[..., None]
-        sec, dx, dy = self._quotient_rule(x, y, yy * x - xy * y,
-                                          xx * y - xy * x, d)
+        num, fx, fy = self._frame_terms(x, y)
+        sec = num / d
+        # the quotient rule, with ½∇d = (yy·x − xy·y, xx·y − xy·x)
+        s2, xx, yy, xy, d = (a[..., None] for a in (2 * sec, xx, yy, xy, d))
+        dx = (fx - s2 * (yy * x - xy * y)) / d
+        dy = (fy - s2 * (xx * y - xy * x)) / d
         return sec, dx @ self.factor.T, dy @ self.factor.T
 
     def _value(self, w: np.ndarray, mw: np.ndarray, x: np.ndarray,

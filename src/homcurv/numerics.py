@@ -7,12 +7,17 @@ from __future__ import annotations
 
 import numpy as np
 
+DRAW_SCHEME = 2    # of the plane searches' starts, recorded in their documents
+
 
 def rng_from(*parts: int) -> np.random.Generator:
-    """Deterministic generator keyed by a tuple of non-negative integers."""
-    for p in parts:
-        if p < 0:
-            raise ValueError(f"seed parts must be non-negative, got {parts}")
+    """Deterministic generator keyed by a tuple of non-negative integers.
+
+    SeedSequence drops trailing zero words, so rng_from(s) is rng_from(s, 0);
+    a plane search draws from rng_from(*key, 1) to stay apart from both.
+    """
+    if min(parts, default=0) < 0:
+        raise ValueError(f"seed parts must be non-negative, got {parts}")
     return np.random.default_rng(np.random.SeedSequence(list(parts)))
 
 

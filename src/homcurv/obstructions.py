@@ -205,7 +205,8 @@ def _find_pair(space: HomogeneousSpace, blocks: list, starts: int):
     Small blocks are decided exactly: a pair, or a lower bound of at least
     REJECT on the block's plane objective, which proves it empty.  The other
     blocks, and those the linear algebra leaves undecided, get `starts`
-    descents drawn from rng_from(*key, s) (one when both sides are lines).
+    descents (one when both sides are lines), all drawn in one call from
+    rng_from(*key, 1).
     A pair is kept only when its bracket ratio is below ACCEPT.  Returns
     (x, y, k) for a pair from block k or None, how it was decided ("exact"
     when the pair came from linear algebra or every block was proved empty),
@@ -227,8 +228,7 @@ def _find_pair(space: HomogeneousSpace, blocks: list, starts: int):
             if ratio < ACCEPT:
                 return (x, y, k), "exact", ratio, proved
         n_starts = 1 if len(bx) == len(by) == 1 else starts
-        coeffs = np.array([rng_from(*key, s).standard_normal(len(bx) + len(by))
-                           for s in range(n_starts)])
+        coeffs = rng_from(*key, 1).standard_normal((n_starts, len(bx) + len(by)))
         vals, xs, ys = _search_planes(space, bx, by, coeffs)
         best = min(best, float(vals.min()))
         for s in np.flatnonzero(vals < ACCEPT):

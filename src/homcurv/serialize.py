@@ -132,8 +132,6 @@ def space_from_document(doc: dict) -> HomogeneousSpace:
             arr = np.asarray(doc[field], dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{field}: {exc}") from None
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{field} has a non-finite entry")
         return arr.reshape(0, ambient.dim) if arr.size == 0 else arr
 
     space = HomogeneousSpace(
@@ -231,5 +229,6 @@ def certify_document(r: CertifyReport, provenance: str | None = None) -> dict:
         "zero_threshold": r.zero_threshold,
         "seed": r.seed,
         "disclaimer": r.disclaimer,
+        "draw_scheme": r.draw_scheme,
         "wall_time": r.wall_time,
     })

@@ -80,7 +80,7 @@ def make_space(label: str, ambient: LieAlgebra, h_matrices: list[np.ndarray],
     for m in h_matrices:
         c = coords_of(ambient, m)
         resid = np.linalg.norm(matrix_of(ambient, c) - m)
-        if resid > 1e-9 * max(1.0, np.linalg.norm(m)):
+        if not resid <= 1e-9 * max(1.0, np.linalg.norm(m)):
             raise CatalogError(
                 f"{label}: subalgebra seed does not lie in {ambient.name} "
                 f"(residual {resid:.3e})")
@@ -105,23 +105,24 @@ def make_space(label: str, ambient: LieAlgebra, h_matrices: list[np.ndarray],
 
 def _validate_space(space: HomogeneousSpace) -> None:
     hb, pb = space.h_basis, space.p_basis
+    for name, arr in vars(space).items():
+        if isinstance(arr, np.ndarray) and not np.isfinite(arr).all():
+            raise CatalogError(f"{space.label}: {name} has a non-finite entry")
     if space.dim_h + space.dim_p != space.ambient.dim:
         raise CatalogError(f"{space.label}: dim h + dim p != dim k")
     alg = space.ambient
     if space.dim_h:
-        # closure of h: brackets of h-basis vectors stay inside h
+        # closure of h: [h, h] stays inside h (and a NaN leak fails the test)
         hb_br = bracket(alg, hb[:, None], hb[None])
-        leak = hb_br - (hb_br @ hb.T) @ hb
-        if np.max(np.abs(leak)) > 1e-9:
-            raise CatalogError(
-                f"{space.label}: h is not closed under the bracket "
-                f"(leak {np.max(np.abs(leak)):.3e})")
+        leak = np.max(np.abs(hb_br - (hb_br @ hb.T) @ hb))
+        if not leak <= 1e-9:
+            raise CatalogError(f"{space.label}: h is not closed under the "
+                               f"bracket (leak {leak:.3e})")
         # invariance of p: [h, p] stays inside p
-        leak_p = bracket(alg, hb[:, None], pb[None]) @ hb.T
-        if np.max(np.abs(leak_p)) > 1e-9:
-            raise CatalogError(
-                f"{space.label}: p is not invariant under h "
-                f"(leak {np.max(np.abs(leak_p)):.3e})")
+        leak = np.max(np.abs(bracket(alg, hb[:, None], pb[None]) @ hb.T))
+        if not leak <= 1e-9:
+            raise CatalogError(f"{space.label}: p is not invariant under h "
+                               f"(leak {leak:.3e})")
 
 
 def isotropy_actions(space: HomogeneousSpace) -> list[np.ndarray]:

@@ -11,6 +11,7 @@ from homcurv.certify import certify
 from homcurv.curvature import NOISE_BAND, Curvature
 from homcurv.isotypic import decompose
 from homcurv.metrics import diagonal_metric, normal_metric, sample_metric
+from homcurv.numerics import DRAW_SCHEME, rng_from
 
 
 def test_positive_space_stays_positive():
@@ -156,21 +157,48 @@ def test_partner_planes_start_at_the_minimum(label, params, metric, minimum):
 
 
 class _DegenerateDraws:
-    """Stands in for a start's generator: its x and y draws coincide."""
+    """Stands in for certify's generator: on the rows `which` of the drawn
+    (starts, 2, n) block, the y draw is set to the x draw."""
 
-    def __init__(self, seed, start):
-        self.rng = np.random.default_rng([seed, start])
+    def __init__(self, rng, which):
+        self.rng, self.which = rng, sorted(which)
 
     def standard_normal(self, size):
-        half = self.rng.standard_normal(size // 2)
-        return np.concatenate([half, half])
+        draws = self.rng.standard_normal(size)
+        draws[self.which, 1] = draws[self.which, 0]
+        return draws
 
 
 def _degenerate_starts(monkeypatch, which):
     """Make the starts in `which` draw degenerate frames."""
-    real = certify_mod.rng_from
-    monkeypatch.setattr(certify_mod, "rng_from", lambda seed, s: (
-        _DegenerateDraws(seed, s) if s in which else real(seed, s)))
+    monkeypatch.setattr(certify_mod, "rng_from",
+                        lambda *key: _DegenerateDraws(rng_from(*key), which))
+
+
+def test_certify_draws_every_start_from_one_generator(monkeypatch):
+    keys, blocks = [], []
+
+    class Recorded:
+        def __init__(self, *key):
+            keys.append(key)
+            self.rng = rng_from(*key)
+
+        def standard_normal(self, size):
+            blocks.append(self.rng.standard_normal(size))
+            return blocks[-1]
+
+    monkeypatch.setattr(certify_mod, "rng_from", Recorded)
+    space = catalog_build("berger7")
+    for starts in (16, 4):
+        r = certify(space, normal_metric(space), seed=5, starts=starts)
+        assert r.draw_scheme == DRAW_SCHEME == 2
+    assert len(keys) == 2 and keys[0] == keys[1]
+    # fewer starts draw a prefix of more
+    np.testing.assert_array_equal(blocks[1], blocks[0][:4])
+    # SeedSequence drops trailing zero words, so a key (5, 0) would draw the
+    # stream of sample_metric(space, 5)
+    assert not np.array_equal(rng_from(*keys[0]).standard_normal(8),
+                              rng_from(5).standard_normal(8))
 
 
 def test_every_stop_reason_is_reachable(monkeypatch):

@@ -207,7 +207,7 @@ def test_obstruct_fires_on_nonpositive_sample():
                    "--check", "min-eigenvalue", "--starts", "8")
     assert proc.returncode == 0
     doc = stdout_doc(proc)
-    assert doc["obstruction_found"] is True
+    assert doc["obstruction_found"] is True and doc["draw_scheme"] == 2
     witness = doc["checks"]["min-eigenvalue"]
     assert witness["found"] is True
     assert witness["numerator"] <= 1e-10
@@ -376,6 +376,7 @@ def test_certify_reports_verdicts():
     assert doc["verdict"] == "positive"
     assert abs(doc["min_sectional"] - 0.05) < 1e-4
     assert doc["metric_provenance"] == "normal"
+    assert doc["draw_scheme"] == 2
 
     # a conclusive nonpositive finding is still a successful run
     proc = run_cli("certify", "wallach6", "--starts", "8")

@@ -1,4 +1,6 @@
 """Tests for the homogeneous-space catalog."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from homcurv import (
     isotropy_actions,
     make_space,
 )
+from homcurv.spaces import _validate_space
 
 # label -> (example params, dim k, dim h, dim p)
 EXPECTED_DIMS = {
@@ -164,6 +167,32 @@ def test_make_space_rejects_non_closed_span():
     e23[1, 2], e23[2, 1] = 1, -1
     with pytest.raises(CatalogError):
         make_space("open", alg, [e12, e23])
+
+
+@pytest.mark.parametrize("field", ["h_basis", "p_basis", "torus_generator"])
+def test_space_built_in_code_with_non_finite_bases_is_rejected(field):
+    space = catalog_build("berger7")
+    bad = getattr(space, field).copy()
+    bad.flat[0] = np.nan
+    with pytest.raises(CatalogError, match=f"{field} has a non-finite entry"):
+        _validate_space(dataclasses.replace(space, **{field: bad}))
+
+
+def test_leak_that_is_not_a_number_fails_validation():
+    # finite bases whose brackets overflow leave a NaN leak, which must not
+    # compare as small
+    space = catalog_build("berger7")
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(CatalogError, match="not closed"):
+        _validate_space(dataclasses.replace(space, h_basis=1e200 * space.h_basis))
+
+
+def test_make_space_rejects_non_finite_seed():
+    alg = build_algebra("so", 5)
+    e12 = np.zeros((5, 5), dtype=complex)
+    e12[0, 1] = e12[1, 0] = np.nan
+    with pytest.raises(CatalogError, match="does not lie in"):
+        make_space("nan", alg, [e12])
 
 
 def test_fixed_subalgebra_weyl_elements():
