@@ -23,17 +23,19 @@ is 1: the value and the gradients come from one call, and an accepted trial
 hands both to the next round.  A trial whose Gram determinant fails the
 dependence test (DEPENDENT_TOL) or whose value is not finite is rejected.  A
 start stops as `converged` when its gradient, measured in the metric's scale,
-falls below grad_tol, as `stalled` when its value has stopped moving either
-way relative to the curvature scale (see STALL_TOL), as `line-search` when no
-step passes the Armijo test, at `max-iters`, or as `failed` when its start
-frame is dependent or its values are not finite.
+falls below grad_tol, as `line-search` when no step passes the Armijo test,
+at `max-iters`, or as `failed` when its start frame is dependent or its
+values are not finite.  No rule stops a start on its value alone: a descent
+that creeps down an ill-conditioned valley toward a flat plane keeps going
+until its gradient vanishes or its iterations run out.
 
 Finding a plane at or below the zero threshold is conclusive.  The threshold
 is zero_tol / λ_max(G): it equals zero_tol for the normal metric and, like
 sectional curvature, scales by 1/λ under G -> λG.  Otherwise the
-verdict is `positive` when at least half the starts finished, and
-`inconclusive` when fewer did; `positive` only reports that the search found
-nothing, which is evidence, not proof, of positive curvature.
+verdict is `positive` when at least half the starts converged, that is,
+reached a critical point, and `inconclusive` when fewer did; `positive` only
+reports that the search found nothing, which is evidence, not proof, of
+positive curvature.
 """
 from __future__ import annotations
 
@@ -51,20 +53,12 @@ DISCLAIMER = ("a positive verdict means no nonpositively curved plane was "
               "positive curvature")
 
 
-# A start stops as "stalled" after STALL_STEPS consecutive accepted steps that
-# each move its sectional value, up or down, by at most STALL_TOL times the
-# larger of |sec| and |R̂|_F; both scale like sectional curvature under
-# G -> λG.  At the minimum the gradient's rounding floor can stay above
-# grad_tol, and such starts would otherwise backtrack to max_iters without
-# moving.
-STALL_TOL = 1e-13
-STALL_STEPS = 3
 # The Armijo reference of a start is the largest of its last NONMONOTONE values.
 NONMONOTONE = 10
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 40
-CONVERGED, STALLED, LINE_SEARCH, MAX_ITERS, FAILED = STOP_REASONS = (
-    "converged", "stalled", "line-search", "max-iters", "failed")
+CONVERGED, LINE_SEARCH, MAX_ITERS, FAILED = STOP_REASONS = (
+    "converged", "line-search", "max-iters", "failed")
 _CODE = {reason: k for k, reason in enumerate(STOP_REASONS)}
 
 
@@ -76,7 +70,7 @@ class CertifyReport:
     plane_x: tuple[float, ...]       # p-coordinates of the G-orthonormal minimizing frame
     plane_y: tuple[float, ...]
     start_minima: tuple              # per-start lowest value, None on failure
-    converged_starts: int            # starts that stopped "converged" or "stalled"
+    converged_starts: int            # starts that stopped "converged", at a critical point
     stop_reasons: tuple[str, ...]    # per start, one of STOP_REASONS
     starts: int
     max_iters: int
@@ -132,8 +126,6 @@ def _partner_frames(cv: PlaneForm, draws: np.ndarray) -> np.ndarray:
     n = draws.shape[1] // 2
     x, _, dependent = _orthonormalize(draws[:, :n], draws[:, n:])
     ok = ~dependent & np.isfinite(draws).all(axis=1)
-    if not ok.any():
-        return draws
     x = x[ok]
     jac = cv.jacobi_operator(x)
     xx = x[:, :, None] * x[:, None, :]
@@ -190,54 +182,48 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
     orthonormal frame.  Each start's lowest value, its frame and its stop
     reason (an index into STOP_REASONS) live in arrays over all rows, written
     at `run`, the rows still descending; the rest of its state (frame,
-    gradient, step, last and recent values, stall count) follows `run`, and a
-    row that stops is dropped from it.  A step length carries the unit
-    1/curvature: `unit` is a curvature scale of the operator (certify passes
-    1/λ_max(G)), and under G -> λG the operator, the gradient and `unit` all
-    scale by 1/λ.
+    gradient, step and recent values) follows `run`, and a row that stops is
+    dropped from it.  A row stops on its gradient, a failed line search, a
+    value that is not finite or max_iters, never on its value alone.  A step
+    length carries the unit 1/curvature: `unit` is a curvature scale of the
+    operator (certify passes 1/λ_max(G)), and under G -> λG the operator, the
+    gradient and `unit` all scale by 1/λ.
     So the stop test |∇| <= grad_tol · unit, the first step
     1 / max(unit, |∇|) and the Barzilai-Borwein clamp [1e-12, 1e6] / unit
     read the same on every multiple of a metric.
     """
-    stall_scale = float(np.linalg.norm(cv.operator))
     v, sec, grad = _evaluate(cv, draws, within)
-    # a dependent or non-finite start has no value for the stall test to
-    # compare; it fails before the first round
+    # a dependent or non-finite start fails before the first round
     failed = np.isinf(sec)
     reason = np.where(failed, _CODE[FAILED], _CODE[MAX_ITERS])
     best, best_v = sec, np.where(failed[:, None], draws, v)
     run = np.flatnonzero(~failed)
     v, sec, grad = v[run], sec[run], grad[run]
-    last, stalls = np.full(len(run), np.inf), np.zeros(len(run), dtype=int)
     recent = np.full((len(run), NONMONOTONE), -np.inf)
     gn2 = np.vecdot(grad, grad)
     step = 1.0 / np.maximum(unit, np.sqrt(gn2))
     for it in range(max_iters + 1):
-        no_progress = (np.abs(last - sec)
-                       <= STALL_TOL * np.maximum(np.abs(sec), stall_scale))
-        stalls = np.where(no_progress, stalls + 1, 0)
         recent[:, it % NONMONOTONE] = sec
         lower = sec < best[run]
         up = run[lower]
         best[up], best_v[up] = sec[lower], v[lower]
         failed, converged = ~np.isfinite(gn2), gn2 <= (grad_tol * unit) ** 2
-        done = failed | converged | (stalls >= STALL_STEPS)
+        done = failed | converged
         if done.any():
-            reason[run[done]] = np.where(failed, _CODE[FAILED], np.where(
-                converged, _CODE[CONVERGED], _CODE[STALLED]))[done]
-            run, v, sec, grad, gn2, step, stalls, recent = (a[~done] for a in (
-                run, v, sec, grad, gn2, step, stalls, recent))
+            reason[run[done]] = np.where(failed, _CODE[FAILED],
+                                         _CODE[CONVERGED])[done]
+            run, v, sec, grad, gn2, step, recent = (a[~done] for a in (
+                run, v, sec, grad, gn2, step, recent))
         if it == max_iters or not run.size:
             break
         accepted, frames, secs, grads = _line_search(
             cv, v, grad, recent.max(axis=1), gn2, step, within)
         if not accepted.all():
             reason[run[~accepted]] = _CODE[LINE_SEARCH]
-            run, v, sec, grad, stalls, recent = (a[accepted] for a in (
-                run, v, sec, grad, stalls, recent))
+            run, v, grad, recent = (a[accepted] for a in (run, v, grad, recent))
             frames, secs, grads = frames[accepted], secs[accepted], grads[accepted]
         dv, dg = frames - v, grads - grad
-        last, v, sec, grad, gn2 = sec, frames, secs, grads, np.vecdot(grads, grads)
+        v, sec, grad, gn2 = frames, secs, grads, np.vecdot(grads, grads)
         denom = np.vecdot(dg, dg)
         step = np.divide(np.abs(np.vecdot(dv, dg)), denom,
                          out=np.ones_like(denom), where=denom > 1e-300)
@@ -274,10 +260,11 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
     if succeeded:
         i = min(succeeded, key=lambda k: secs[k])
         best, best_v = secs[i], frames[i].reshape(2, n) @ cv.basis
+    converged = reasons.count(CONVERGED)
     if best <= zero_threshold:          # False for NaN, when no start finished
         verdict = "nonpositive-witness"
-    elif 2 * len(succeeded) < starts:
-        verdict = "inconclusive"       # quorum: half the starts must finish
+    elif 2 * converged < starts:
+        verdict = "inconclusive"       # quorum: half the starts must converge
     else:
         verdict = "positive"
     return CertifyReport(
@@ -287,7 +274,7 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
         plane_x=tuple(float(c) for c in best_v[0]),
         plane_y=tuple(float(c) for c in best_v[1]),
         start_minima=finals,
-        converged_starts=sum(r in (CONVERGED, STALLED) for r in reasons),
+        converged_starts=converged,
         stop_reasons=tuple(reasons),
         starts=starts,
         max_iters=max_iters,

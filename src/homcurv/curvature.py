@@ -175,8 +175,8 @@ class PlaneForm:
 
         J_x = A M Aᵀ, where row b of A is x ∧ e_b.
         """
-        n = x.shape[-1]
-        a = (x @ self._wedge_map.reshape(n, -1)).reshape(x.shape[:-1] + (n, -1))
+        n, pairs = x.shape[-1], self._wedge_map.shape[1]
+        a = (x @ self._wedge_map.reshape(n, -1)).reshape(x.shape[:-1] + (n, pairs))
         return a @ self.operator @ np.swapaxes(a, -1, -2)
 
     def orthonormal_gradient(self, x: np.ndarray, y: np.ndarray):

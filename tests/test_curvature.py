@@ -122,6 +122,8 @@ def test_jacobi_operator_is_the_numerator_in_y(label):
     # one x without a batch axis gives one matrix
     np.testing.assert_allclose(cv.jacobi_operator(xn[3]), jac[3],
                                rtol=1e-12, atol=1e-12 * np.abs(jac[3]).max())
+    # an empty batch gives no matrices
+    assert cv.jacobi_operator(xn[:0]).shape == (0, space.dim_p, space.dim_p)
 
 
 @pytest.mark.parametrize("label,metric", [
