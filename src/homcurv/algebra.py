@@ -105,12 +105,7 @@ def _seed_sp(n: int) -> np.ndarray:
                            quaternion_to_complex(np.zeros_like(b), b)])
 
 
-_FAMILIES = {
-    "so": (_seed_so, lambda n: n, "so"),
-    "su": (_seed_su, lambda n: n, "su"),
-    "u": (_seed_u, lambda n: n, "u"),
-    "sp": (_seed_sp, lambda n: 2 * n, "sp"),
-}
+_FAMILIES = {"so": _seed_so, "su": _seed_su, "u": _seed_u, "sp": _seed_sp}
 
 
 def _orthonormalize_matrices(seeds: np.ndarray) -> np.ndarray:
@@ -173,13 +168,12 @@ def build_algebra(family: str, n: int) -> LieAlgebra:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    seed_fn, msize_fn, tag = _FAMILIES[family]
-    basis = _orthonormalize_matrices(seed_fn(n))
+    basis = _orthonormalize_matrices(_FAMILIES[family](n))
     return LieAlgebra(
         name=f"{family}({n})",
         dim=basis.shape[0],
         structure_constants=_structure_constants(basis),
-        realization=MatrixRealization(msize_fn(n), basis, tag),
+        realization=MatrixRealization(basis.shape[-1], basis, family),
     )
 
 

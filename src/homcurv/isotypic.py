@@ -58,9 +58,6 @@ class IsotypicDecomposition:
     def weights(self) -> tuple[int | None, ...]:
         return tuple(c.weight for c in self.components)
 
-    def division_types(self) -> tuple[str, ...]:
-        return tuple(c.division_type for c in self.components)
-
 
 def symmetric_commutant_basis(space: HomogeneousSpace) -> np.ndarray:
     """Frobenius-orthonormal basis (stack of matrices) of the symmetric

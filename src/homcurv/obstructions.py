@@ -180,7 +180,8 @@ def _exact_block(space: HomogeneousSpace, bx: np.ndarray, by: np.ndarray,
     Columns are [u_s, v_t] in row-major order for two bases and [u_s, u_t],
     s < t, for Λ² of bx when `same`.  Decided: Λ²E with dim E <= 4, one side
     of dimension 1, and two sides of dimension 2, when the two spans are
-    orthogonal (otherwise the kernel holds the degenerate pairs x ⊗ x).
+    orthogonal (otherwise the kernel holds the degenerate pairs x ⊗ x).  An
+    empty side gives a block with no columns, which holds no pair.
     """
     ax = bx @ space.p_basis
     if same:
@@ -190,10 +191,10 @@ def _exact_block(space: HomogeneousSpace, bx: np.ndarray, by: np.ndarray,
         return (bracket(space.ambient, ax[iu], ax[ju]).T,
                 _PFAFFIAN_4 if len(bx) == 4 else None)
     if ((min(len(bx), len(by)) > 1 and not len(bx) == len(by) == 2)
-            or np.abs(bx @ by.T).max() > 1e-9):
+            or np.abs(bx @ by.T).max(initial=0.0) > 1e-9):
         return None
     block = bracket(space.ambient, ax[:, None], (by @ space.p_basis)[None])
-    return (block.reshape(len(bx) * len(by), -1).T,
+    return (block.reshape(len(bx) * len(by), space.ambient.dim).T,
             _DET_2X2 if len(bx) == len(by) == 2 else None)
 
 

@@ -51,15 +51,6 @@ class HomogeneousSpace:
     def params_dict(self) -> dict[str, int]:
         return dict(self.params)
 
-    def project_h(self, v: np.ndarray) -> np.ndarray:
-        """Component of an ambient vector along h, as an ambient vector."""
-        if self.dim_h == 0:
-            return np.zeros_like(v)
-        return self.h_basis.T @ (self.h_basis @ v)
-
-    def project_p(self, v: np.ndarray) -> np.ndarray:
-        return self.p_basis.T @ (self.p_basis @ v)
-
     def p_coords(self, v: np.ndarray) -> np.ndarray:
         return self.p_basis @ v
 
@@ -164,10 +155,18 @@ def fixed_subalgebra_in_h(space: HomogeneousSpace, g: GroupElement) -> np.ndarra
 # catalog constructions
 # ---------------------------------------------------------------------------
 
-def _embed(mat: np.ndarray, size: int, r: int = 0) -> np.ndarray:
-    out = np.zeros((size, size), dtype=complex)
-    k = mat.shape[0]
-    out[r:r + k, r:r + k] = mat
+def _corner(mats: np.ndarray, size: int) -> np.ndarray:
+    """A k x k matrix, or each of a stack of them, in the upper-left corner
+    of a size x size zero matrix."""
+    k = mats.shape[-1]
+    out = np.zeros(mats.shape[:-2] + (size, size), dtype=complex)
+    out[..., :k, :k] = mats
+    return out
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = _corner(a, len(a) + len(b))
+    out[len(a):, len(a):] = b
     return out
 
 
@@ -184,24 +183,6 @@ def _sp_slot_quaternions(n: int, k: int) -> list[np.ndarray]:
     """i, j, k quaternion units in diagonal slot k of sp(n)."""
     return [_sp_entry(n, k, k, a=1j), _sp_entry(n, k, k, b=1.0),
             _sp_entry(n, k, k, b=1j)]
-
-
-def _block_diag(*mats: np.ndarray) -> np.ndarray:
-    size = sum(m.shape[0] for m in mats)
-    out = np.zeros((size, size), dtype=complex)
-    r = 0
-    for m in mats:
-        k = m.shape[0]
-        out[r:r + k, r:r + k] = m
-        r += k
-    return out
-
-
-def _check_pq(label: str, p: int, q: int, q_min: int) -> None:
-    if p < q or q < q_min or p < 1:
-        raise CatalogError(f"{label}: need p >= q >= {q_min} and p >= 1, got ({p}, {q})")
-    if math.gcd(p, q) != 1:
-        raise CatalogError(f"{label}: need gcd(p, q) = 1, got ({p}, {q})")
 
 
 def spin32_matrices() -> list[np.ndarray]:
@@ -228,34 +209,17 @@ def spin32_matrices() -> list[np.ndarray]:
     return [t.conj().T @ (1j * jk) @ t for jk in (jx, jy, jz)]
 
 
-def _su_block_seeds(n_small: int, n_big: int) -> list[np.ndarray]:
-    small = build_algebra("su", n_small)
-    return [_embed(m, n_big) for m in small.realization.basis_matrices]
-
-
-def _u_block_seeds(n_small: int, n_big: int) -> list[np.ndarray]:
-    small = build_algebra("u", n_small)
-    return [_embed(m, n_big) for m in small.realization.basis_matrices]
-
-
-def _so_block_seeds(n_small: int, n_big: int) -> list[np.ndarray]:
-    small = build_algebra("so", n_small)
-    return [_embed(m, n_big) for m in small.realization.basis_matrices]
-
-
-def _sp_block_seeds(n_small: int, n_big: int) -> list[np.ndarray]:
-    """sp(n_small) in the upper quaternionic corner of sp(n_big)."""
-    small = build_algebra("sp", n_small)
-    out = []
-    for m in small.realization.basis_matrices:
-        a = m[:n_small, :n_small]
-        b = m[:n_small, n_small:]
-        abig = np.zeros((n_big, n_big), dtype=complex)
-        bbig = np.zeros((n_big, n_big), dtype=complex)
-        abig[:n_small, :n_small] = a
-        bbig[:n_small, :n_small] = b
-        out.append(quaternion_to_complex(abig, bbig))
-    return out
+def _corner_seeds(family: str, n: int) -> list[np.ndarray]:
+    """The basis matrices of family(n) in the upper corner of family(n + 1),
+    the quaternionic corner for sp; none when family(n) is zero."""
+    if n < (2 if family in ("so", "su") else 1):
+        return []
+    m = build_algebra(family, n).realization.basis_matrices
+    if family != "sp":
+        return list(_corner(m, n + 1))
+    # the a and b blocks of each a + b j, each in its own corner
+    return list(quaternion_to_complex(_corner(m[:, :n, :n], n + 1),
+                                      _corner(m[:, :n, n:], n + 1)))
 
 
 def _idiag(*entries: complex) -> np.ndarray:
@@ -268,223 +232,173 @@ def _sp_idiag(*entries: float) -> np.ndarray:
     return quaternion_to_complex(_idiag(*entries), np.zeros((n, n)))
 
 
-def _build_sphere_so(n: int) -> HomogeneousSpace:
-    amb = build_algebra("so", n + 1)
-    h = _so_block_seeds(n, n + 1) if n >= 2 else []
-    return make_space("sphere-so", amb, h, params={"n": n},
-                      notes=f"round sphere S^{n}; kernel trivial; N(H)/H = Z2 for n >= 2")
+# A builder takes an entry's parameters and returns its construction: the
+# ambient algebra, spanning matrices of h, the torus matrix or None, and the
+# notes.  `catalog_build` checks the parameters first and names the space.
+
+def _build_sphere_so(n: int) -> tuple:
+    return (build_algebra("so", n + 1), _corner_seeds("so", n), None,
+            f"round sphere S^{n}; kernel trivial; N(H)/H = Z2 for n >= 2")
 
 
-def _build_sphere_su(n: int) -> HomogeneousSpace:
-    amb = build_algebra("su", n + 1)
-    h = _su_block_seeds(n, n + 1) if n >= 2 else []
-    return make_space("sphere-su", amb, h, params={"n": n},
-                      notes=f"sphere S^{2 * n + 1}; kernel trivial; N(H)/H = S1 for n >= 2")
+def _build_sphere_su(n: int) -> tuple:
+    return (build_algebra("su", n + 1), _corner_seeds("su", n), None,
+            f"sphere S^{2 * n + 1}; kernel trivial; N(H)/H = S1 for n >= 2")
 
 
-def _build_sphere_u(n: int) -> HomogeneousSpace:
-    amb = build_algebra("u", n + 1)
-    h = _u_block_seeds(n, n + 1) if n >= 1 else []
-    return make_space("sphere-u", amb, h, params={"n": n},
-                      notes=f"sphere S^{2 * n + 1}; kernel trivial; N(H)/H = S1")
+def _build_sphere_u(n: int) -> tuple:
+    return (build_algebra("u", n + 1), _corner_seeds("u", n), None,
+            f"sphere S^{2 * n + 1}; kernel trivial; N(H)/H = S1")
 
 
-def _build_sphere_sp(n: int) -> HomogeneousSpace:
-    amb = build_algebra("sp", n + 1)
-    h = _sp_block_seeds(n, n + 1) if n >= 1 else []
-    return make_space("sphere-sp", amb, h, params={"n": n},
-                      notes=f"sphere S^{4 * n + 3}; kernel trivial; N(H)/H = S3")
+def _build_sphere_sp(n: int) -> tuple:
+    return (build_algebra("sp", n + 1), _corner_seeds("sp", n), None,
+            f"sphere S^{4 * n + 3}; kernel trivial; N(H)/H = S3")
 
 
-def _build_sphere_spsp1(n: int) -> HomogeneousSpace:
-    amb = direct_sum(build_algebra("sp", n + 1), build_algebra("sp", 1))
-    z2 = np.zeros((2, 2), dtype=complex)
-    h = [_block_diag(m, z2) for m in _sp_block_seeds(n, n + 1)]
-    for big, small in zip(_sp_slot_quaternions(n + 1, n), _sp_slot_quaternions(1, 0)):
-        h.append(_block_diag(big, small))
-    return make_space("sphere-spsp1", amb, h, params={"n": n},
-                      notes=f"sphere S^{4 * n + 3}; kernel diagonal Z2; N(H)/H = Z2")
+def _build_sphere_spsp1(n: int) -> tuple:
+    h = [_corner(m, 2 * n + 4) for m in _corner_seeds("sp", n)]
+    h += [_block_diag(big, small) for big, small
+          in zip(_sp_slot_quaternions(n + 1, n), _sp_slot_quaternions(1, 0))]
+    return (direct_sum(build_algebra("sp", n + 1), build_algebra("sp", 1)), h, None,
+            f"sphere S^{4 * n + 3}; kernel diagonal Z2; N(H)/H = Z2")
 
 
-def _build_sphere_spu1(n: int) -> HomogeneousSpace:
-    amb = direct_sum(build_algebra("sp", n + 1), build_algebra("u", 1))
-    z1 = np.zeros((1, 1), dtype=complex)
-    h = [_block_diag(m, z1) for m in _sp_block_seeds(n, n + 1)]
+def _build_sphere_spu1(n: int) -> tuple:
+    h = [_corner(m, 2 * n + 3) for m in _corner_seeds("sp", n)]
     h.append(_block_diag(_sp_entry(n + 1, n, n, a=1j), 1j * np.eye(1)))
-    return make_space("sphere-spu1", amb, h, params={"n": n},
-                      notes=f"sphere S^{4 * n + 3}; kernel diagonal Z2; N(H)/H = S1")
+    return (direct_sum(build_algebra("sp", n + 1), build_algebra("u", 1)), h, None,
+            f"sphere S^{4 * n + 3}; kernel diagonal Z2; N(H)/H = S1")
 
 
-def _build_cpn(n: int) -> HomogeneousSpace:
-    amb = build_algebra("su", n + 1)
-    h = _su_block_seeds(n, n + 1) if n >= 2 else []
-    h = h + [_idiag(*([1.0] * n + [-float(n)]))]
-    return make_space("cpn", amb, h, params={"n": n},
-                      notes=f"CP^{n}; kernel Z_{n + 1}; N(H)/H trivial for n >= 2")
+def _build_cpn(n: int) -> tuple:
+    h = _corner_seeds("su", n) + [_idiag(*([1.0] * n + [-float(n)]))]
+    return (build_algebra("su", n + 1), h, None,
+            f"CP^{n}; kernel Z_{n + 1}; N(H)/H trivial for n >= 2")
 
 
-def _build_hpn(n: int) -> HomogeneousSpace:
-    amb = build_algebra("sp", n + 1)
-    h = _sp_block_seeds(n, n + 1) + _sp_slot_quaternions(n + 1, n)
-    return make_space("hpn", amb, h, params={"n": n},
-                      notes=f"HP^{n}; kernel Z2; N(H)/H trivial for n >= 2")
+def _build_hpn(n: int) -> tuple:
+    h = _corner_seeds("sp", n) + _sp_slot_quaternions(n + 1, n)
+    return (build_algebra("sp", n + 1), h, None,
+            f"HP^{n}; kernel Z2; N(H)/H trivial for n >= 2")
 
 
-def _build_cp2n1(n: int) -> HomogeneousSpace:
-    amb = build_algebra("sp", n + 1)
-    h = _sp_block_seeds(n, n + 1) + [_sp_entry(n + 1, n, n, a=1j)]
-    return make_space("cp2n1", amb, h, params={"n": n},
-                      notes=f"CP^{2 * n + 1}; kernel Z2; N(H)/H = Z2")
+def _build_cp2n1(n: int) -> tuple:
+    h = _corner_seeds("sp", n) + [_sp_entry(n + 1, n, n, a=1j)]
+    return (build_algebra("sp", n + 1), h, None,
+            f"CP^{2 * n + 1}; kernel Z2; N(H)/H = Z2")
 
 
-def _build_berger13() -> HomogeneousSpace:
-    amb = build_algebra("su", 5)
-    sp2 = build_algebra("sp", 2)
-    h = [_embed(m, 5) for m in sp2.realization.basis_matrices]
-    h.append(_idiag(1, 1, 1, 1, -4))
-    return make_space("berger13", amb, h,
-                      notes="13-dim; h normalizes the 4-dim symplectic block; "
-                            "kernel Z5; N(H)/H trivial")
+def _build_berger13() -> tuple:
+    h = list(_corner(build_algebra("sp", 2).realization.basis_matrices, 5))
+    return (build_algebra("su", 5), h + [_idiag(1, 1, 1, 1, -4)], None,
+            "13-dim; h normalizes the 4-dim symplectic block; kernel Z5; N(H)/H trivial")
 
 
-def _build_berger7() -> HomogeneousSpace:
-    amb = build_algebra("sp", 2)
-    return make_space("berger7", amb, spin32_matrices(),
-                      torus_matrix=_sp_idiag(3, 1),
-                      notes="7-dim; h is the unique 3-dim maximal subalgebra; "
-                            "kernel Z2; N(H)/H trivial")
+def _build_berger7() -> tuple:
+    return (build_algebra("sp", 2), spin32_matrices(), _sp_idiag(3, 1),
+            "7-dim; h is the unique 3-dim maximal subalgebra; kernel Z2; N(H)/H trivial")
 
 
-def _build_w11() -> HomogeneousSpace:
+def _build_w11() -> tuple:
     su2 = build_algebra("su", 2)
-    amb = direct_sum(build_algebra("su", 3), build_algebra("so", 3))
-    h = []
-    for i in range(su2.dim):
-        left = _embed(su2.realization.basis_matrices[i], 3)
-        right = ad_operator(su2, np.eye(su2.dim)[i]).astype(complex)
-        h.append(_block_diag(left, right))
-    h.append(_block_diag(_idiag(1, 1, -2), np.zeros((3, 3), dtype=complex)))
-    return make_space("w11", amb, h,
-                      notes="7-dim; h = u(2) over the diagonally embedded su(2) "
-                            "(2-fold cover onto the rotation factor); kernel Z3; "
-                            "N(H)/H trivial")
+    h = [_block_diag(_corner(m, 3), ad_operator(su2, e))
+         for m, e in zip(su2.realization.basis_matrices, np.eye(su2.dim))]
+    return (direct_sum(build_algebra("su", 3), build_algebra("so", 3)),
+            h + [_corner(_idiag(1, 1, -2), 6)], None,
+            "7-dim; h = u(2) over the diagonally embedded su(2) (2-fold cover onto "
+            "the rotation factor); kernel Z3; N(H)/H trivial")
 
 
-def _build_wallach6() -> HomogeneousSpace:
-    amb = build_algebra("su", 3)
-    h = [_idiag(1, -1, 0), _idiag(0, 1, -1)]
-    return make_space("wallach6", amb, h,
-                      notes="6-dim flag; kernel Z3; N(H)/H = S3")
+def _build_wallach6() -> tuple:
+    return (build_algebra("su", 3), [_idiag(1, -1, 0), _idiag(0, 1, -1)], None,
+            "6-dim flag; kernel Z3; N(H)/H = S3")
 
 
-def _build_wallach12() -> HomogeneousSpace:
-    amb = build_algebra("sp", 3)
+def _build_wallach12() -> tuple:
     h = sum((_sp_slot_quaternions(3, k) for k in range(3)), [])
-    return make_space("wallach12", amb, h,
-                      notes="12-dim flag; kernel Z2; N(H)/H = S3")
+    return build_algebra("sp", 3), h, None, "12-dim flag; kernel Z2; N(H)/H = S3"
 
 
-def _build_aloffwallach_su3(p: int, q: int) -> HomogeneousSpace:
-    _check_pq("aloffwallach-su3", p, q, 1)
-    amb = build_algebra("su", 3)
+def _su3_over_circle(p: int, q: int) -> tuple:
+    """su(3) over its circle diag(ip, iq, -i(p + q)), without notes."""
     gen = _idiag(p, q, -(p + q))
-    return make_space("aloffwallach-su3", amb, [gen], params={"p": p, "q": q},
-                      torus_matrix=gen,
-                      notes="7-dim; kernel Z3 iff p = q mod 3; "
-                            "N(H)/H = S1 for p > q, SO(3) for p = q")
+    return build_algebra("su", 3), [gen], gen
 
 
-def _build_aloffwallach_u3(p: int, q: int) -> HomogeneousSpace:
-    _check_pq("aloffwallach-u3", p, q, 1)
-    amb = build_algebra("u", 3)
+def _build_aloffwallach_su3(p: int, q: int) -> tuple:
+    return (*_su3_over_circle(p, q), "7-dim; kernel Z3 iff p = q mod 3; "
+            "N(H)/H = S1 for p > q, SO(3) for p = q")
+
+
+def _build_su3circle(p: int, q: int) -> tuple:
+    return (*_su3_over_circle(p, q), "7-dim circle quotient with q = 0 allowed; "
+            "the (1,0) case carries no positively curved invariant metric")
+
+
+def _build_aloffwallach_u3(p: int, q: int) -> tuple:
     gen = _idiag(p, q, -(p + q))
-    return make_space("aloffwallach-u3", amb, [gen, _idiag(1, 0, 0)],
-                      params={"p": p, "q": q}, torus_matrix=gen,
-                      notes=f"7-dim; kernel Z_{p + 2 * q}; N(H)/H = S1")
+    return (build_algebra("u", 3), [gen, _idiag(1, 0, 0)], gen,
+            f"7-dim; kernel Z_{p + 2 * q}; N(H)/H = S1")
 
 
-def _build_stiefel() -> HomogeneousSpace:
-    amb = build_algebra("sp", 2)
-    gen = _sp_idiag(1, 1)
-    return make_space("stiefel", amb, [gen], torus_matrix=gen,
-                      notes="9-dim frame manifold, the (1,1) circle quotient; "
-                            "every invariant metric has a nonpositively curved plane")
-
-
-def _build_sp2circle(p: int, q: int) -> HomogeneousSpace:
-    _check_pq("sp2circle", p, q, 0)
-    amb = build_algebra("sp", 2)
+def _sp2_over_circle(p: int, q: int) -> tuple:
+    """sp(2) over its circle diag(ip, iq), quaternionic, without notes."""
     gen = _sp_idiag(p, q)
-    return make_space("sp2circle", amb, [gen], params={"p": p, "q": q},
-                      torus_matrix=gen,
-                      notes="9-dim circle quotient; no invariant positively "
-                            "curved metric")
+    return build_algebra("sp", 2), [gen], gen
 
 
-def _build_su3circle(p: int, q: int) -> HomogeneousSpace:
-    _check_pq("su3circle", p, q, 0)
-    amb = build_algebra("su", 3)
-    gen = _idiag(p, q, -(p + q))
-    return make_space("su3circle", amb, [gen], params={"p": p, "q": q},
-                      torus_matrix=gen,
-                      notes="7-dim circle quotient with q = 0 allowed; the (1,0) "
-                            "case carries no positively curved invariant metric")
+def _build_sp2circle(p: int, q: int) -> tuple:
+    return (*_sp2_over_circle(p, q),
+            "9-dim circle quotient; no invariant positively curved metric")
 
 
-def _build_s3s3circle(p: int, q: int) -> HomogeneousSpace:
-    _check_pq("s3s3circle", p, q, 1)
-    amb = direct_sum(build_algebra("su", 2), build_algebra("su", 2))
+def _build_stiefel() -> tuple:
+    return (*_sp2_over_circle(1, 1), "9-dim frame manifold, the (1,1) circle "
+            "quotient; every invariant metric has a nonpositively curved plane")
+
+
+def _build_s3s3circle(p: int, q: int) -> tuple:
     gen = _block_diag(_idiag(p, -p), _idiag(q, -q))
-    return make_space("s3s3circle", amb, [gen], params={"p": p, "q": q},
-                      torus_matrix=gen,
-                      notes="5-dim circle quotient of a product of 3-spheres; "
-                            "flat planes exist for every invariant metric")
+    return (direct_sum(build_algebra("su", 2), build_algebra("su", 2)), [gen], gen,
+            "5-dim circle quotient of a product of 3-spheres; "
+            "flat planes exist for every invariant metric")
 
 
-def _build_sp3mix() -> HomogeneousSpace:
-    amb = build_algebra("sp", 3)
+def _build_sp3mix() -> tuple:
     h = _sp_slot_quaternions(3, 0)
-    for a, b in zip(_sp_slot_quaternions(3, 1), _sp_slot_quaternions(3, 2)):
-        h.append(a + b)
-    return make_space("sp3mix", amb, h,
-                      notes="15-dim; h couples the last two quaternionic slots "
-                            "diagonally; no invariant positively curved metric")
+    h += [a + b for a, b in zip(_sp_slot_quaternions(3, 1), _sp_slot_quaternions(3, 2))]
+    return (build_algebra("sp", 3), h, None,
+            "15-dim; h couples the last two quaternionic slots diagonally; "
+            "no invariant positively curved metric")
 
 
-_CATALOG: dict[str, dict] = {
-    "sphere-so": {"build": _build_sphere_so, "args": ("n",), "positive": True},
-    "sphere-su": {"build": _build_sphere_su, "args": ("n",), "positive": True},
-    "sphere-u": {"build": _build_sphere_u, "args": ("n",), "positive": True},
-    "sphere-sp": {"build": _build_sphere_sp, "args": ("n",), "positive": True},
-    "sphere-spsp1": {"build": _build_sphere_spsp1, "args": ("n",), "positive": True},
-    "sphere-spu1": {"build": _build_sphere_spu1, "args": ("n",), "positive": True},
-    "cpn": {"build": _build_cpn, "args": ("n",), "positive": True},
-    "hpn": {"build": _build_hpn, "args": ("n",), "positive": True},
-    "cp2n1": {"build": _build_cp2n1, "args": ("n",), "positive": True},
-    "berger13": {"build": _build_berger13, "args": (), "positive": True},
-    "berger7": {"build": _build_berger7, "args": (), "positive": True},
-    "w11": {"build": _build_w11, "args": (), "positive": True},
-    "wallach6": {"build": _build_wallach6, "args": (), "positive": True},
-    "wallach12": {"build": _build_wallach12, "args": (), "positive": True},
-    "aloffwallach-su3": {"build": _build_aloffwallach_su3, "args": ("p", "q"),
-                         "positive": True},
-    "aloffwallach-u3": {"build": _build_aloffwallach_u3, "args": ("p", "q"),
-                        "positive": True},
-    "stiefel": {"build": _build_stiefel, "args": (), "positive": False},
-    "sp2circle": {"build": _build_sp2circle, "args": ("p", "q"), "positive": False},
-    "su3circle": {"build": _build_su3circle, "args": ("p", "q"), "positive": False},
-    "s3s3circle": {"build": _build_s3s3circle, "args": ("p", "q"), "positive": False},
-    "sp3mix": {"build": _build_sp3mix, "args": (), "positive": False},
-}
-
-# parameters used by `catalog_entries` when listing parameterized spaces
-_LISTING_PARAMS = {
-    "sphere-so": {"n": 4}, "sphere-su": {"n": 2}, "sphere-u": {"n": 2},
-    "sphere-sp": {"n": 1}, "sphere-spsp1": {"n": 1}, "sphere-spu1": {"n": 1},
-    "cpn": {"n": 2}, "hpn": {"n": 2}, "cp2n1": {"n": 1},
-    "aloffwallach-su3": {"p": 1, "q": 1}, "aloffwallach-u3": {"p": 1, "q": 1},
-    "sp2circle": {"p": 3, "q": 1}, "su3circle": {"p": 1, "q": 0},
-    "s3s3circle": {"p": 2, "q": 1},
+# label: (builder, listing parameters, expects positive, least n or q).  The
+# listing parameters' names are the entry's parameters, and `catalog_entries`
+# lists each entry at them.  A (p, q) entry needs p >= q >= least, p >= 1 and
+# gcd(p, q) = 1.
+_CATALOG = {
+    "sphere-so": (_build_sphere_so, {"n": 4}, True, 1),
+    "sphere-su": (_build_sphere_su, {"n": 2}, True, 1),
+    "sphere-u": (_build_sphere_u, {"n": 2}, True, 0),
+    "sphere-sp": (_build_sphere_sp, {"n": 1}, True, 0),
+    "sphere-spsp1": (_build_sphere_spsp1, {"n": 1}, True, 1),
+    "sphere-spu1": (_build_sphere_spu1, {"n": 1}, True, 1),
+    "cpn": (_build_cpn, {"n": 2}, True, 1),
+    "hpn": (_build_hpn, {"n": 2}, True, 1),
+    "cp2n1": (_build_cp2n1, {"n": 1}, True, 1),
+    "berger13": (_build_berger13, {}, True, 0),
+    "berger7": (_build_berger7, {}, True, 0),
+    "w11": (_build_w11, {}, True, 0),
+    "wallach6": (_build_wallach6, {}, True, 0),
+    "wallach12": (_build_wallach12, {}, True, 0),
+    "aloffwallach-su3": (_build_aloffwallach_su3, {"p": 1, "q": 1}, True, 1),
+    "aloffwallach-u3": (_build_aloffwallach_u3, {"p": 1, "q": 1}, True, 1),
+    "stiefel": (_build_stiefel, {}, False, 0),
+    "sp2circle": (_build_sp2circle, {"p": 3, "q": 1}, False, 0),
+    "su3circle": (_build_su3circle, {"p": 1, "q": 0}, False, 0),
+    "s3s3circle": (_build_s3s3circle, {"p": 2, "q": 1}, False, 1),
+    "sp3mix": (_build_sp3mix, {}, False, 0),
 }
 
 
@@ -494,7 +408,7 @@ def catalog_labels() -> list[str]:
 
 def listing_params(label: str) -> dict[str, int]:
     """Default parameters used when listing or batch-building the catalog."""
-    return dict(_LISTING_PARAMS.get(label, {}))
+    return dict(_CATALOG[label][1]) if label in _CATALOG else {}
 
 
 def catalog_build(label: str, **params: int) -> HomogeneousSpace:
@@ -502,8 +416,8 @@ def catalog_build(label: str, **params: int) -> HomogeneousSpace:
     if label not in _CATALOG:
         raise CatalogError(f"unknown catalog label {label!r}; "
                            f"known: {', '.join(_CATALOG)}")
-    entry = _CATALOG[label]
-    needed = entry["args"]
+    build, listing, _, least = _CATALOG[label]
+    needed = tuple(listing)
     missing = [a for a in needed if a not in params]
     extra = [a for a in params if a not in needed]
     if missing or extra:
@@ -512,20 +426,28 @@ def catalog_build(label: str, **params: int) -> HomogeneousSpace:
     for k, v in params.items():
         if not isinstance(v, (int, np.integer)):
             raise CatalogError(f"{label}: parameter {k} must be an integer, got {v!r}")
-    return entry["build"](**params)
+    if "n" in params and params["n"] < least:
+        raise CatalogError(f"{label}: need n >= {least}, got {params['n']}")
+    if "p" in params:
+        p, q = params["p"], params["q"]
+        if p < q or q < least or p < 1:
+            raise CatalogError(f"{label}: need p >= q >= {least} and p >= 1, got ({p}, {q})")
+        if math.gcd(p, q) != 1:
+            raise CatalogError(f"{label}: need gcd(p, q) = 1, got ({p}, {q})")
+    ambient, h, torus, notes = build(**params)
+    return make_space(label, ambient, h, params=params, torus_matrix=torus, notes=notes)
 
 
 def catalog_entries() -> list[dict]:
     """Listing rows: label, parameter names, dims at the listing defaults, notes."""
     rows = []
-    for label, entry in _CATALOG.items():
-        params = _LISTING_PARAMS.get(label, {})
-        space = entry["build"](**params)
+    for label, (_, listing, positive, _) in _CATALOG.items():
+        space = catalog_build(label, **listing)
         rows.append({
             "label": label,
-            "parameters": list(entry["args"]),
-            "expects_positive": entry["positive"],
-            "example_params": params,
+            "parameters": list(listing),
+            "expects_positive": positive,
+            "example_params": dict(listing),
             "dim_k": space.ambient.dim,
             "dim_h": space.dim_h,
             "dim_p": space.dim_p,

@@ -236,7 +236,7 @@ def test_group_element_rejects_bad_matrix():
 # algebra before the sparse versions; space documents reload only if the
 # bases and structure constants stay equal to what these produce.
 
-def _dense_orthonormalize(seeds, msize):
+def _dense_orthonormalize(seeds):
     out = []
     for s in seeds:
         w = s.astype(complex)
@@ -263,9 +263,10 @@ FAMILY_GRID = ([("so", n) for n in range(2, 10)] + [("su", n) for n in range(2, 
 
 @pytest.mark.parametrize("family,n", FAMILY_GRID)
 def test_sparse_gram_schmidt_matches_dense_loop(family, n):
-    seed_fn, msize_fn, _ = algebra_mod._FAMILIES[family]
     alg = build_algebra(family, n)
-    basis = _dense_orthonormalize(seed_fn(n), msize_fn(n))
+    basis = _dense_orthonormalize(algebra_mod._FAMILIES[family](n))
+    assert alg.realization.matrix_size == (2 * n if family == "sp" else n)
+    assert alg.realization.field_tag == family
     # equal entry for entry; only the sign of some zero entries may differ
     assert np.array_equal(alg.realization.basis_matrices, basis)
     assert np.array_equal(alg.structure_constants, _einsum_structure_constants(basis))

@@ -192,7 +192,7 @@ def test_identity_metric_reduction():
         for _ in range(30):
             x, y = rng.standard_normal((2, space.dim_p))
             c = bracket(space.ambient, space.p_embed(x), space.p_embed(y))
-            cp = space.project_p(c)
+            cp = space.p_basis.T @ (space.p_basis @ c)
             ch = c - cp
             ref = ch @ ch + 0.25 * cp @ cp
             assert abs(cv.numerator(x, y) - ref) < 1e-10
@@ -207,7 +207,7 @@ def test_b_plus_lies_in_p_and_is_symmetric():
         for _ in range(20):
             x, y = rng.standard_normal((2, space.dim_p))
             v = b_plus(space, g, x, y)
-            assert np.linalg.norm(v - space.project_p(v)) < 1e-9
+            assert np.linalg.norm(v - space.p_basis.T @ (space.p_basis @ v)) < 1e-9
             assert np.allclose(v, b_plus(space, g, y, x), atol=1e-10)
 
 
@@ -251,7 +251,7 @@ def _flag_flat_plane(space):
 def test_flat_plane_in_flag_normal_metric():
     space = catalog_build("wallach6")
     x_amb, x, w = _flag_flat_plane(space)
-    assert np.linalg.norm(space.project_h(x_amb)) < 1e-12
+    assert np.linalg.norm(space.h_basis @ x_amb) < 1e-12
     cv = Curvature(space, normal_metric(space))
     assert abs(cv.sectional(x, w)) < 1e-12
 

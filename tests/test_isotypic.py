@@ -45,7 +45,7 @@ def test_catalog_decompositions(key):
     dec = decompose(_space(label, params))
     assert dec.dims() == dims
     assert dec.multiplicities() == mults
-    assert dec.division_types() == types
+    assert tuple(c.division_type for c in dec.components) == types
     assert dec.weights() == weights
     assert dec.commutant_dim == comm
 
@@ -54,7 +54,7 @@ def test_quaternionic_type_detected():
     # the 4-dim standard summand of the 5-sphere has quaternion endomorphisms
     dec = decompose(catalog_build("sphere-su", n=2))
     assert dec.dims() == (1, 4)
-    assert dec.division_types() == ("real", "quaternionic")
+    assert tuple(c.division_type for c in dec.components) == ("real", "quaternionic")
     assert dec.commutant_dim == 2
 
 
@@ -106,7 +106,8 @@ def test_decomposition_seed_independent():
     d1 = decompose(space, seed=12345)
     assert d0.dims() == d1.dims()
     assert d0.weights() == d1.weights()
-    assert d0.division_types() == d1.division_types()
+    assert ([c.division_type for c in d0.components]
+            == [c.division_type for c in d1.components])
     # merged component spans agree even though summand splits may differ
     for c0, c1 in zip(d0.components, d1.components):
         p0 = c0.basis.T @ c0.basis

@@ -91,15 +91,20 @@ def test_min_eigenvalue_witness_absent_on_positive_space():
 
 
 def test_one_dimensional_bottom_eigenspace_proves_absence(monkeypatch):
-    # sphere-su n=2 at sample:0: E_0 is a line and ad_v has σ₂ ≈ 1.2 on v^⊥
+    # sphere-su n=2 at sample:0: E_0 is a line and ad_v has σ₂ ≈ 1.2 on v^⊥;
+    # sphere-so n=1 and sphere-u n=0 have dim p = 1, so v^⊥ is empty and
+    # holds no partner
     from homcurv.metrics import metric_from_spec
-    space = catalog_build("sphere-su", n=2)
-    g = metric_from_spec(space, "sample:0")
-    assert obs._metric_eigenspaces(g)[0][1].shape[0] == 1
     monkeypatch.setattr(obs, "_search_planes", _no_search)
-    w = min_eigenvalue_witness(space, g)
-    assert not w.found and w.decided == "exact"
-    assert w.objective >= REJECT
+    for label, params, spec in [("sphere-su", {"n": 2}, "sample:0"),
+                                ("sphere-so", {"n": 1}, "normal"),
+                                ("sphere-u", {"n": 0}, "normal")]:
+        space = catalog_build(label, **params)
+        g = metric_from_spec(space, spec)
+        assert obs._metric_eigenspaces(g)[0][1].shape[0] == 1
+        w = min_eigenvalue_witness(space, g)
+        assert not w.found and w.decided == "exact"
+        assert w.objective >= REJECT
 
 
 def test_undecided_basis_vector_block_is_searched(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the homogeneous-space catalog."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,10 @@ EXPECTED_DIMS = {
     "s3s3circle": ({"p": 2, "q": 1}, 6, 1, 5),
     "sp3mix": ({}, 21, 6, 15),
 }
+
+# label -> least n
+LEAST_N = {"sphere-so": 1, "sphere-su": 1, "sphere-u": 0, "sphere-sp": 0,
+           "sphere-spsp1": 1, "sphere-spu1": 1, "cpn": 1, "hpn": 1, "cp2n1": 1}
 
 
 def test_catalog_covers_expected_labels():
@@ -98,6 +103,29 @@ def test_parameter_validation():
     # q = 0 is allowed for the one-parameter circle in su(3)
     assert catalog_build("su3circle", p=1, q=0).dim_p == 7
 
+    # each n entry builds from its least n on, with dim p >= 1 there, and
+    # rejects anything smaller, naming the label
+    assert {r["label"] for r in catalog_entries() if r["parameters"] == ["n"]} == set(LEAST_N)
+    for label, least in LEAST_N.items():
+        assert catalog_build(label, n=least).dim_p >= 1
+        for n in (least - 1, -1):
+            with pytest.raises(CatalogError, match=f"^{label}: need n >= {least}, got {n}$"):
+                catalog_build(label, n=n)
+
+
+@pytest.mark.parametrize("a_label,a_params,b_label,b_params", [
+    ("stiefel", {}, "sp2circle", {"p": 1, "q": 1}),
+    *[("su3circle", {"p": p, "q": q}, "aloffwallach-su3", {"p": p, "q": q})
+      for p in range(1, 6) for q in range(1, p + 1) if math.gcd(p, q) == 1],
+])
+def test_shared_constructions_are_identical(a_label, a_params, b_label, b_params):
+    # one construction under two labels, each with its own notes
+    a, b = catalog_build(a_label, **a_params), catalog_build(b_label, **b_params)
+    assert a.ambient.name == b.ambient.name
+    for field in ("h_basis", "p_basis", "torus_generator"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert a.notes != b.notes
+
 
 def test_sphere_so_small_n():
     space = catalog_build("sphere-so", n=1)
@@ -109,8 +137,8 @@ def test_projection_helpers():
     rng = np.random.default_rng(17)
     space = catalog_build("wallach6")
     v = rng.standard_normal(space.ambient.dim)
-    ph = space.project_h(v)
-    pp = space.project_p(v)
+    ph = space.h_basis.T @ (space.h_basis @ v)
+    pp = space.p_basis.T @ (space.p_basis @ v)
     assert np.allclose(ph + pp, v, atol=1e-12)
     assert np.allclose(space.p_embed(space.p_coords(v)), pp, atol=1e-12)
     assert abs(ph @ pp) < 1e-12
@@ -149,7 +177,7 @@ def test_torus_generator_lies_in_h():
         space = catalog_build(label, **params)
         tg = space.torus_generator
         assert tg is not None
-        assert np.allclose(space.project_h(tg), tg, atol=1e-10)
+        assert np.allclose(space.h_basis.T @ (space.h_basis @ tg), tg, atol=1e-10)
 
 
 def test_make_space_rejects_foreign_seed():
