@@ -12,7 +12,6 @@ from .algebra import (
     ad_operator,
     matrix_of,
     coords_of,
-    q_inner,
     rank,
     group_element,
     centralizer_subalgebra,

@@ -247,15 +247,10 @@ def coords_of(alg: LieAlgebra, m: np.ndarray) -> np.ndarray:
                               alg.realization.basis_matrices))
 
 
-def q_inner(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> float:
-    # coordinates are orthonormal, so Q is the dot product
-    return float(np.dot(x, y))
-
-
-def rank(alg: LieAlgebra, draws: int = 8, seed: int = 0,
-         basis: np.ndarray | None = None) -> int:
-    """Dimension of the kernel of ad_x for generic x, minimized over draws;
-    of the subalgebra spanned by the orthonormal rows of `basis`, if given.
+def rank(alg: LieAlgebra, basis: np.ndarray | None = None) -> int:
+    """Dimension of the kernel of ad_x for generic x, minimized over eight
+    draws from rng_from(0); of the subalgebra spanned by the orthonormal rows
+    of `basis`, if given.
 
     All draws take one batched ad_x and one stacked SVD; a singular value
     counts when it exceeds 1e-8 times the larger of its draw's top one and 1.
@@ -263,12 +258,12 @@ def rank(alg: LieAlgebra, draws: int = 8, seed: int = 0,
     dim = alg.dim if basis is None else basis.shape[0]
     if dim == 0:
         return 0
-    x = rng_from(seed).standard_normal((draws, dim))
+    x = rng_from(0).standard_normal((8, dim))
     ad = (ad_operator(alg, x) if basis is None
           else basis @ ad_operator(alg, x @ basis) @ basis.T)
     s = np.linalg.svd(ad, compute_uv=False)
     ranks = np.sum(s > 1e-8 * np.maximum(s[:, :1], 1.0), axis=1)
-    return dim - int(ranks.max(initial=0))
+    return dim - int(ranks.max())
 
 
 @dataclass(frozen=True)

@@ -238,13 +238,17 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
 
     Raises ValueError for parameters that no search would back: starts < 1,
     max_iters < 0, or a tolerance that is negative or not finite (a negative
-    zero_tol would report `positive` above planes of negative curvature).
+    zero_tol would report `positive` above planes of negative curvature); and
+    for a space with dim p < 2, which has no plane to search.
     """
     if (starts < 1 or max_iters < 0
             or not all(0 <= t < np.inf for t in (grad_tol, zero_tol))):
         raise ValueError(f"need starts >= 1, max_iters >= 0 and finite "
                          f"tolerances >= 0, got {starts}, {max_iters}, "
                          f"{grad_tol}, {zero_tol}")
+    if space.dim_p < 2:
+        named = " ".join([space.label, *(f"{k}={v}" for k, v in space.params)])
+        raise ValueError(f"{named} has dim p = {space.dim_p}: no plane to search")
     t0 = time.perf_counter()
     cv = Curvature(space, metric)
     zero_threshold = zero_tol / cv.max_eigenvalue

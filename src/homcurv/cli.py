@@ -4,12 +4,12 @@ Subcommands: catalog, build, decompose, metric, curvature, obstruct,
 certify, suite.  Results are JSON on stdout (or --out FILE, written
 atomically); the resolved seed and package version go to stderr.
 
-Spaces are named either by catalog label (with --n/--p/--q parameters) or by
-the path of a JSON file produced by `build --full`, so documents round-trip
-through the pipeline.  Exit code 0 means the command ran to completion, with
-findings reported in the JSON; 1 means a verification failed (a suite
-criterion, an inconsistent rank parity, an inconclusive search); 2 is a
-usage error, reported as JSON on stderr.
+A space is named positionally, by catalog label (with --n/--p/--q) or by the
+path of a `build` document, so documents round-trip through the pipeline;
+`homcurv.metrics.metric_from_spec` parses --metric.  Exit code 0 means the
+command ran to completion, with findings reported in the JSON; 1 means a
+verification failed (a suite criterion, an inconsistent rank parity, an
+inconclusive search); 2 is a usage error, reported as JSON on stderr.
 
 The default seed is 0; the HOMCURV_SEED environment variable overrides the
 default, and an explicit --seed overrides both.
@@ -29,7 +29,7 @@ from . import __version__
 from .certify import certify
 from .curvature import DEPENDENT_TOL, Curvature
 from .isotypic import decompose
-from .metrics import metric_from_spec, metric_sampler, validate_metric
+from .metrics import metric_from_spec, metric_sampler, sample_seed, validate_metric
 from .numerics import DRAW_SCHEME, rng_from
 from .obstructions import (
     commuting_witness,
@@ -71,14 +71,9 @@ def _resolve_seed(explicit: int | None) -> int:
 
 
 def _space_from_args(args):
-    source = getattr(args, "source", None)
-    flag = getattr(args, "space", None)
-    if source is not None and flag is not None:
-        raise CliError("give either a positional space or --space, not both")
-    if source is None and flag is None:
-        raise CliError("a space is required: a catalog label, a JSON file "
-                       "from `build --full`, or --space LABEL")
-    name = flag if flag is not None else source
+    name = args.source
+    if name is None:
+        raise CliError("a space is required: a catalog label or a JSON file from `build`")
     if name not in catalog_labels() and (
             name.endswith(".json") or os.path.sep in name
             or os.path.isfile(name)):
@@ -98,22 +93,10 @@ def _space_from_args(args):
 
 
 def _resolve_metric(space, spec: str, seed: int) -> np.ndarray:
-    if not spec.startswith("file:"):
-        try:
-            return metric_from_spec(space, spec, seed=seed)
-        except ValueError as exc:
-            raise CliError(str(exc))
-    path = spec[5:]
     try:
-        doc = load_json(path)
-        metric = np.asarray(doc["matrix"], dtype=float)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read metric from {path}: {exc}")
-    try:
-        validate_metric(space, metric)
+        return metric_from_spec(space, spec, seed=seed)
     except ValueError as exc:
-        raise CliError(f"metric in {path} is invalid: {exc}")
-    return metric
+        raise CliError(str(exc))
 
 
 def _resolve_plane(space, spec: str) -> tuple[np.ndarray, np.ndarray]:
@@ -140,14 +123,13 @@ def _emit(doc: dict, output: str | None) -> None:
     if output:
         atomic_write_json(output, doc)
     else:
-        json.dump(doc, sys.stdout, indent=2)
+        json.dump(doc, sys.stdout, indent=2, allow_nan=False)
         sys.stdout.write("\n")
 
 
 def _add_space_arguments(sub):
     sub.add_argument("source", nargs="?",
                      help="catalog label or a space JSON file")
-    sub.add_argument("--space", help="catalog label (alternative form)")
     sub.add_argument("--n", type=int, help="size parameter")
     sub.add_argument("--p", type=int, help="first weight")
     sub.add_argument("--q", type=int, help="second weight")
@@ -160,7 +142,7 @@ def _cmd_catalog(args, seed: int) -> int:
 
 def _cmd_build(args, seed: int) -> int:
     space = _space_from_args(args)
-    _emit(space_document(space, full=not args.summary), args.output)
+    _emit(space_document(space), args.output)
     return 0
 
 
@@ -255,12 +237,10 @@ def _cmd_obstruct(args, seed: int) -> int:
             body["checks"][check] = doc
             fired |= hit
     else:
-        if not args.metric.startswith("sample:"):
-            raise CliError("--samples needs a sample:SEED metric family")
         try:
-            base = int(args.metric[7:])
-        except ValueError:
-            raise CliError(f"bad sample metric spec {args.metric!r}")
+            base = sample_seed(args.metric)
+        except ValueError as exc:
+            raise CliError(f"--samples: {exc}")
         rows = []
         draw = metric_sampler(space)
         for i in range(args.samples):
@@ -294,9 +274,12 @@ def _cmd_certify(args, seed: int) -> int:
             raise CliError(f"{flag} must be finite and at least 0, got {value}")
     space = _space_from_args(args)
     metric = _resolve_metric(space, args.metric, seed)
-    report = certify(space, metric, seed=seed, starts=args.starts,
-                     max_iters=args.max_iters, grad_tol=args.grad_tol,
-                     zero_tol=args.zero_tol)
+    try:
+        report = certify(space, metric, seed=seed, starts=args.starts,
+                         max_iters=args.max_iters, grad_tol=args.grad_tol,
+                         zero_tol=args.zero_tol)
+    except ValueError as exc:
+        raise CliError(str(exc))
     _emit(certify_document(report, provenance=args.metric), args.output)
     return 0 if report.verdict in ("positive", "nonpositive-witness") else 1
 
@@ -346,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(s):
         s.add_argument("--seed", type=int, default=None,
                        help="override the default seed (and HOMCURV_SEED)")
-        s.add_argument("--out", "--output", dest="output", metavar="FILE",
+        s.add_argument("--out", dest="output", metavar="FILE",
                        help="write the JSON document to this file")
 
     s = sub.add_parser("catalog", help="list the space catalog")
@@ -355,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("build", help="construct a space as a loadable document")
     _add_space_arguments(s)
-    s.add_argument("--summary", action="store_true",
-                   help="omit the bases and structure constants")
     common(s)
     s.set_defaults(func=_cmd_build)
 

@@ -7,6 +7,8 @@ the cone, and pullback along a normalizing group element.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .algebra import GroupElement
@@ -64,12 +66,22 @@ def sample_metric(space: HomogeneousSpace, seed: int = 0) -> np.ndarray:
     return metric_sampler(space)(seed)
 
 
+def sample_seed(spec: str) -> int:
+    """SEED of a `sample:SEED` spec; ValueError for any other spec."""
+    if not spec.startswith("sample:"):
+        raise ValueError(f"{spec!r} is not a sample:SEED metric spec")
+    if not spec[7:].isdecimal():
+        raise ValueError(f"bad sample metric spec {spec!r}")
+    return int(spec[7:])
+
+
 def metric_from_spec(space: HomogeneousSpace, spec: str,
                      seed: int = 0) -> np.ndarray:
-    """The metric named by `normal`, `diag:T0,T1,...` or `sample:SEED`.
+    """The metric named by `normal`, `diag:T0,T1,...`, `sample:SEED` or `file:PATH`.
 
-    Diagonal scales follow the component order of `decompose(space, seed)`.
-    Raises ValueError for a malformed or unknown spec.
+    Diagonal scales follow the component order of `decompose(space, seed)`;
+    a file's "matrix" field (a metric document's) is validated on reading.
+    Raises ValueError for a malformed or unknown spec or an invalid file.
     """
     if spec == "normal":
         return normal_metric(space)
@@ -80,12 +92,21 @@ def metric_from_spec(space: HomogeneousSpace, spec: str,
             raise ValueError(f"bad diagonal metric spec {spec!r}") from None
         return diagonal_metric(decompose(space, seed=seed), scales)
     if spec.startswith("sample:"):
+        return sample_metric(space, sample_seed(spec))
+    if spec.startswith("file:"):
+        path = spec[5:]
         try:
-            return sample_metric(space, seed=int(spec[7:]))
-        except ValueError:
-            raise ValueError(f"bad sample metric spec {spec!r}") from None
+            with open(path) as fh:
+                metric = np.asarray(json.load(fh)["matrix"], dtype=float)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"cannot read metric from {path}: {exc}") from None
+        try:
+            validate_metric(space, metric)
+        except ValueError as exc:
+            raise ValueError(f"metric in {path} is invalid: {exc}") from None
+        return metric
     raise ValueError(f"unknown metric spec {spec!r}; use normal, "
-                     f"diag:T0,T1,... or sample:SEED")
+                     f"diag:T0,T1,..., sample:SEED or file:PATH")
 
 
 def conjugate_metric(space: HomogeneousSpace, metric: np.ndarray,

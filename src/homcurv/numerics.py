@@ -21,8 +21,9 @@ def rng_from(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(parts)))
 
 
-def orthonormalize_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Gram-Schmidt on the rows, in order, dropping dependent rows.
+def orthonormalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt on the rows, in order, dropping a row whose residual is
+    at most 1e-10 times the larger of its norm and 1.
 
     Row order is preserved so that constructions relying on a documented
     basis order stay reproducible.
@@ -37,7 +38,7 @@ def orthonormalize_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         for u in out:
             w -= (w @ u) * u
         n = np.linalg.norm(w)
-        if n > tol * max(1.0, np.linalg.norm(v)):
+        if n > 1e-10 * max(1.0, np.linalg.norm(v)):
             out.append(w / n)
     if not out:
         return np.zeros((0, rows.shape[1]))
@@ -88,13 +89,13 @@ class ClusterError(RuntimeError):
     """Raised when a value list cannot be clustered unambiguously."""
 
 
-def cluster_values(values: np.ndarray, rel_tol: float = 1e-8,
-                   guard: float = 100.0) -> list[np.ndarray]:
+def cluster_values(values: np.ndarray) -> list[np.ndarray]:
     """Group sorted scalar values into clusters separated by clear gaps.
 
     Returns index arrays into `values`, cluster by cluster in ascending order.
-    A gap between `rel_tol*scale` and `guard*rel_tol*scale` is ambiguous at the
-    stated tolerance and raises ClusterError instead of silently deciding.
+    With scale = max(1, max |value|), a gap below 1e-8 scale joins a cluster
+    and one of at least 1e-6 scale splits; a gap between the two is ambiguous
+    and raises ClusterError instead of silently deciding.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -102,8 +103,8 @@ def cluster_values(values: np.ndarray, rel_tol: float = 1e-8,
     order = np.argsort(values)
     sv = values[order]
     scale = max(1.0, float(np.max(np.abs(sv))))
-    lo = rel_tol * scale
-    hi = guard * lo
+    lo = 1e-8 * scale
+    hi = 100.0 * lo
     clusters: list[list[int]] = [[int(order[0])]]
     for prev, idx in zip(sv[:-1], order[1:]):
         cur = values[idx]

@@ -340,7 +340,7 @@ def symmetrize_sp2_31(space: HomogeneousSpace,
     metric's off-diagonal phase on the 4-dimensional weight-2 component real,
     after which the metric commutes with the action of a.
     """
-    if space.label != "sp2circle" or space.params_dict != {"p": 3, "q": 1}:
+    if space.label != "sp2circle" or dict(space.params) != {"p": 3, "q": 1}:
         raise ValueError("symmetrization applies to the (3, 1) circle "
                          "quotient of the rank-two symplectic group only")
     from .algebra import coords_of

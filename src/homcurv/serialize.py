@@ -2,7 +2,8 @@
 
 Every document carries schema_version 1 and a kind tag.  Writes are atomic:
 the payload lands in a sibling temporary file first and is moved into place
-with os.replace.
+with os.replace.  Documents are standard JSON: a witness objective or certify
+minimum that is not finite is null, and any other non-finite float an error.
 """
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ def atomic_write_json(path: str, doc: dict) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".homcurv-", suffix=".json")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(doc, fh, indent=2, allow_nan=False)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -81,7 +82,7 @@ def load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def space_document(space: HomogeneousSpace, full: bool = False) -> dict:
+def space_document(space: HomogeneousSpace) -> dict:
     body = {
         "label": space.label,
         "params": dict(space.params),
@@ -91,21 +92,20 @@ def space_document(space: HomogeneousSpace, full: bool = False) -> dict:
         "dim_p": space.dim_p,
         "has_torus_generator": space.torus_generator is not None,
         "notes": space.notes,
+        "h_basis": space.h_basis,
+        "p_basis": space.p_basis,
     }
-    if full:
-        body["h_basis"] = space.h_basis
-        body["p_basis"] = space.p_basis
-        if space.torus_generator is not None:
-            body["torus_generator"] = space.torus_generator
-        body["structure_constants"] = {
-            "shape": list(space.ambient.structure_constants.shape),
-            "triplets": sparse_triplets(space.ambient.structure_constants),
-        }
+    if space.torus_generator is not None:
+        body["torus_generator"] = space.torus_generator
+    body["structure_constants"] = {
+        "shape": list(space.ambient.structure_constants.shape),
+        "triplets": sparse_triplets(space.ambient.structure_constants),
+    }
     return document("space", body)
 
 
 def space_from_document(doc: dict) -> HomogeneousSpace:
-    """Rebuild a space from a full document, bit for bit.
+    """Rebuild a space from its document, bit for bit.
 
     The ambient algebra is reconstructed from its name; stored structure
     constants, if present, must match the rebuilt ones exactly.
@@ -115,7 +115,7 @@ def space_from_document(doc: dict) -> HomogeneousSpace:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     if "h_basis" not in doc or "p_basis" not in doc:
-        raise ValueError("document lacks bases; regenerate it with full=True")
+        raise ValueError("document lacks bases; regenerate it with `homcurv build`")
     ambient = algebra_from_name(doc["ambient"])
     stored = doc.get("structure_constants")
     if stored is not None:
@@ -167,23 +167,21 @@ def decomposition_document(dec: IsotypicDecomposition) -> dict:
 
 
 def metric_document(space: HomogeneousSpace, metric: np.ndarray,
-                    report: dict, provenance: str | None = None) -> dict:
-    body = {
+                    report: dict, provenance: str) -> dict:
+    return document("metric", {
         "label": space.label,
         "dim_p": space.dim_p,
         "matrix": metric,
         "residuals": report,
-    }
-    if provenance is not None:
-        body["metric_provenance"] = provenance
-    return document("metric", body)
+        "metric_provenance": provenance,
+    })
 
 
 def witness_document(w: PlaneWitness) -> dict:
     return document("witness", {
         "witness_kind": w.kind,
         "found": w.found,
-        "objective": w.objective,
+        "objective": w.objective if np.isfinite(w.objective) else None,
         "numerator": w.numerator,
         "x": w.x,
         "y": w.y,
@@ -211,12 +209,12 @@ def symmetrization_document(s: Sp2Symmetrization) -> dict:
     })
 
 
-def certify_document(r: CertifyReport, provenance: str | None = None) -> dict:
+def certify_document(r: CertifyReport, provenance: str) -> dict:
     return document("certify", {
         "label": r.label,
-        **({"metric_provenance": provenance} if provenance is not None else {}),
+        "metric_provenance": provenance,
         "verdict": r.verdict,
-        "min_sectional": r.min_sectional,
+        "min_sectional": r.min_sectional if np.isfinite(r.min_sectional) else None,
         "plane_x": list(r.plane_x),
         "plane_y": list(r.plane_y),
         "start_minima": list(r.start_minima),

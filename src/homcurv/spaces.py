@@ -47,10 +47,6 @@ class HomogeneousSpace:
     def dim_p(self) -> int:
         return self.p_basis.shape[0]
 
-    @property
-    def params_dict(self) -> dict[str, int]:
-        return dict(self.params)
-
     def p_coords(self, v: np.ndarray) -> np.ndarray:
         return self.p_basis @ v
 

@@ -16,7 +16,6 @@ from homcurv import (
     direct_sum,
     group_element,
     matrix_of,
-    q_inner,
     rank,
     validate_algebra,
 )
@@ -158,8 +157,8 @@ def test_q_invariance_random_triples():
     alg = build_algebra("sp", 2)
     for _ in range(20):
         x, y, z = rng.standard_normal((3, alg.dim))
-        lhs = q_inner(alg, bracket(alg, x, y), z)
-        rhs = -q_inner(alg, y, bracket(alg, x, z))
+        lhs = bracket(alg, x, y) @ z
+        rhs = -(y @ bracket(alg, x, z))
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -188,7 +187,6 @@ def test_batched_rank_matches_the_per_draw_rank(label):
     space = catalog_build(label, **listing_params(label))
     for basis in (None, space.h_basis):
         assert rank(space.ambient, basis=basis) == _rank_by_draw(space.ambient, basis)
-    assert rank(space.ambient, draws=0) == space.ambient.dim
 
 
 def test_direct_sum():

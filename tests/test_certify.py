@@ -102,6 +102,13 @@ def test_rejects_parameters_that_void_the_verdict(bad):
         certify(space, normal_metric(space), **{"starts": 2, **bad})
 
 
+def test_a_space_without_planes_is_rejected():
+    # dim p = 1: there is no plane, so no verdict and no minimum to report
+    space = catalog_build("sphere-so", n=1)
+    with pytest.raises(ValueError, match="sphere-so n=1 has dim p = 1"):
+        certify(space, normal_metric(space), starts=2)
+
+
 @pytest.mark.parametrize("label,params,metric", [
     ("stiefel", {}, lambda s: sample_metric(s, seed=0)),
     ("aloffwallach-su3", {"p": 1, "q": 1},

@@ -71,19 +71,6 @@ def test_build_emits_loadable_document():
     assert doc["structure_constants"]["shape"] == [10, 10, 10]
 
 
-def test_build_summary_omits_bases():
-    proc = run_cli("build", "berger7", "--summary")
-    doc = stdout_doc(proc)
-    assert "p_basis" not in doc and "structure_constants" not in doc
-    assert doc["dim_p"] == 7
-
-
-def test_space_flag_and_positional_are_equivalent(tmp_path):
-    a = run_cli("build", "--space", "aloffwallach-su3", "--p", "1", "--q", "1")
-    b = run_cli("build", "aloffwallach-su3", "--p", "1", "--q", "1")
-    assert a.stdout == b.stdout
-
-
 def test_missing_space_is_usage_error():
     proc = run_cli("build")
     assert proc.returncode == 2
@@ -213,6 +200,22 @@ def test_obstruct_fires_on_nonpositive_sample():
     assert witness["numerator"] <= 1e-10
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("args", [["sphere-so", "--n", "1"],
+                                  ["sphere-u", "--n", "0", "--check", "commuting"]])
+def test_witnesses_without_a_plane_write_standard_json(args):
+    proc = run_cli("obstruct", *args)
+    assert proc.returncode == 0
+    doc = _strict_json(proc.stdout)
+    assert all(w["objective"] is None and not w["found"]
+               for w in doc["checks"].values())
+
+
 def test_obstruct_samples_mode():
     proc = run_cli("obstruct", "s3s3circle", "--p", "2", "--q", "1",
                    "--metric", "sample:7", "--samples", "5",
@@ -225,10 +228,11 @@ def test_obstruct_samples_mode():
 
 
 def test_obstruct_samples_need_sample_family():
-    proc = run_cli("obstruct", "s3s3circle", "--p", "2", "--q", "1",
-                   "--metric", "normal", "--samples", "3")
-    assert proc.returncode == 2
-    assert "sample:SEED" in stderr_error(proc)
+    for family in ("normal", "file:metric.json"):
+        proc = run_cli("obstruct", "s3s3circle", "--p", "2", "--q", "1",
+                       "--metric", family, "--samples", "3")
+        assert proc.returncode == 2
+        assert "sample:SEED" in stderr_error(proc)
 
 
 def test_obstruct_rejects_starts_below_one():
@@ -263,6 +267,8 @@ def test_certify_rejects_starts_below_one():
     (["stiefel", "--metric", "sample:0", "--zero-tol=-1000"],
      "--zero-tol must be finite and at least 0"),
     (["berger7", "--grad-tol=-1"], "--grad-tol must be finite and at least 0"),
+    # dim p = 1: no plane, so no verdict
+    (["sphere-so", "--n", "1"], "sphere-so n=1 has dim p = 1"),
 ])
 def test_certify_rejects_parameters_that_void_the_verdict(args, message):
     proc = run_cli("certify", *args, "--starts", "2")
@@ -388,7 +394,7 @@ def test_certify_reports_verdicts():
 
 def test_output_flag_writes_file(tmp_path):
     out = tmp_path / "doc.json"
-    proc = run_cli("build", "berger7", "--output", str(out))
+    proc = run_cli("build", "berger7", "--out", str(out))
     assert proc.returncode == 0
     assert proc.stdout == ""
     doc = json.loads(out.read_text())

@@ -1,4 +1,6 @@
 """Tests for invariant metric constructors."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from homcurv.metrics import (
     sample_metric,
     validate_metric,
 )
+from homcurv.serialize import atomic_write_json, metric_document
 
 
 def test_normal_metric():
@@ -170,13 +173,18 @@ def test_conjugate_metric_rejects_non_normalizing():
         conjugate_metric(space, normal_metric(space), g)
 
 
-def test_metric_from_spec_matches_the_constructors():
+def test_metric_from_spec_matches_the_constructors(tmp_path):
     space = catalog_build("wallach6")
     assert np.array_equal(metric_from_spec(space, "normal"), normal_metric(space))
     assert np.array_equal(metric_from_spec(space, "sample:4"),
                           sample_metric(space, seed=4))
     assert np.array_equal(metric_from_spec(space, "diag:1,2,0.5"),
                           diagonal_metric(decompose(space), (1.0, 2.0, 0.5)))
+    g = sample_metric(space, seed=4)
+    path = tmp_path / "g.json"
+    atomic_write_json(str(path), metric_document(
+        space, g, validate_metric(space, g), provenance="sample:4"))
+    assert np.array_equal(metric_from_spec(space, f"file:{path}"), g)
 
 
 @pytest.mark.parametrize("spec,message", [
@@ -185,12 +193,16 @@ def test_metric_from_spec_matches_the_constructors():
     ("diag:1,-2,3", "positive"),
     ("sample:two", "bad sample metric spec"),
     ("sample:-1", "bad sample metric spec"),
-    ("file:g.json", "unknown metric spec"),
+    ("file:g.json", "cannot read metric from g.json"),
+    ("file:{tmp}/scaled.json", "metric in .*scaled.json is invalid"),
     ("round", "unknown metric spec"),
 ])
-def test_metric_from_spec_rejects_bad_specs(spec, message):
+def test_metric_from_spec_rejects_bad_specs(spec, message, tmp_path):
+    # positive definite, but no isotropy action commutes with it
+    scaled = np.diag(np.arange(1.0, 7.0)).tolist()
+    (tmp_path / "scaled.json").write_text(json.dumps({"matrix": scaled}))
     with pytest.raises(ValueError, match=message):
-        metric_from_spec(catalog_build("wallach6"), spec)
+        metric_from_spec(catalog_build("wallach6"), spec.format(tmp=tmp_path))
 
 
 def _normalizing_elements():

@@ -33,7 +33,7 @@ def through_json(doc):
 ])
 def test_space_round_trip_is_bit_exact(label, params):
     space = catalog_build(label, **params)
-    doc = through_json(space_document(space, full=True))
+    doc = through_json(space_document(space))
     back = space_from_document(doc)
     assert back.label == space.label
     assert back.params == space.params
@@ -49,14 +49,15 @@ def test_space_round_trip_is_bit_exact(label, params):
 
 def test_summary_document_cannot_be_loaded():
     space = catalog_build("berger7")
-    doc = space_document(space, full=False)
-    with pytest.raises(ValueError, match="full=True"):
+    doc = space_document(space)
+    del doc["h_basis"], doc["p_basis"]
+    with pytest.raises(ValueError, match="lacks bases"):
         space_from_document(doc)
 
 
 def test_tampered_constants_are_rejected():
     space = catalog_build("berger7")
-    doc = through_json(space_document(space, full=True))
+    doc = through_json(space_document(space))
     doc["structure_constants"]["triplets"][0][-1] += 0.5
     with pytest.raises(ValueError, match="structure constants"):
         space_from_document(doc)
@@ -95,7 +96,7 @@ def test_atomic_write_and_load(tmp_path):
 def test_certify_document_carries_stop_reasons():
     space = catalog_build("berger7")
     r = certify(space, normal_metric(space), starts=6, max_iters=40)
-    doc = through_json(certify_document(r))
+    doc = through_json(certify_document(r, provenance="normal"))
     assert doc["stop_reasons"] == list(r.stop_reasons)
     assert len(doc["stop_reasons"]) == doc["starts"] == 6
     assert set(doc["stop_reasons"]) <= set(STOP_REASONS)
@@ -105,7 +106,7 @@ def test_certify_document_carries_stop_reasons():
 def test_certify_document_records_the_zero_threshold():
     space = catalog_build("berger7")
     r = certify(space, 4.0 * normal_metric(space), starts=2, max_iters=20)
-    doc = through_json(certify_document(r))
+    doc = through_json(certify_document(r, provenance="diag:4"))
     assert doc["zero_tol"] == 1e-9
     assert doc["zero_threshold"] == r.zero_threshold == pytest.approx(2.5e-10)
 
@@ -165,7 +166,7 @@ def test_malformed_document_is_a_value_error_naming_the_field(corrupt, field):
 
 
 def test_non_finite_torus_generator_is_rejected():
-    doc = through_json(space_document(catalog_build("berger7"), full=True))
+    doc = through_json(space_document(catalog_build("berger7")))
     doc["torus_generator"][0] = float("inf")
     with pytest.raises(ValueError, match="torus_generator has a non-finite entry"):
         space_from_document(doc)
