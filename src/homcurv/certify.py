@@ -23,14 +23,14 @@ is 1: the value and the gradients come from one call, and an accepted trial
 hands both to the next round.  A trial whose Gram determinant fails the
 dependence test (DEPENDENT_TOL) or whose value is not finite is rejected.  A
 start stops as `converged` when its gradient, measured in the metric's scale,
-falls below grad_tol, as `line-search` when no step passes the Armijo test,
+falls below GRAD_TOL, as `line-search` when no step passes the Armijo test,
 at `max-iters`, or as `failed` when its start frame is dependent or its
 values are not finite.  No rule stops a start on its value alone: a descent
 that creeps down an ill-conditioned valley toward a flat plane keeps going
 until its gradient vanishes or its iterations run out.
 
 Finding a plane at or below the zero threshold is conclusive.  The threshold
-is zero_tol / λ_max(G): it equals zero_tol for the normal metric and, like
+is ZERO_TOL / λ_max(G): it equals ZERO_TOL for the normal metric and, like
 sectional curvature, scales by 1/λ under G -> λG.  Otherwise the
 verdict is `positive` when at least half the starts converged, that is,
 reached a critical point, and `inconclusive` when fewer did; `positive` only
@@ -55,6 +55,8 @@ DISCLAIMER = ("a positive verdict means no nonpositively curved plane was "
 
 # The Armijo reference of a start is the largest of its last NONMONOTONE values.
 NONMONOTONE = 10
+GRAD_TOL = 1e-10     # the stop test |∇| <= GRAD_TOL / λ_max(G)
+ZERO_TOL = 1e-9      # the zero threshold ZERO_TOL / λ_max(G)
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 40
 CONVERGED, LINE_SEARCH, MAX_ITERS, FAILED = STOP_REASONS = (
@@ -232,31 +234,27 @@ def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
 
 
 def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
-            starts: int = 64, max_iters: int = 500, grad_tol: float = 1e-10,
-            zero_tol: float = 1e-9) -> CertifyReport:
+            starts: int = 64, max_iters: int = 500) -> CertifyReport:
     """Search the plane Grassmannian for nonpositive sectional curvature.
 
-    Raises ValueError for parameters that no search would back: starts < 1,
-    max_iters < 0, or a tolerance that is negative or not finite (a negative
-    zero_tol would report `positive` above planes of negative curvature); and
-    for a space with dim p < 2, which has no plane to search.
+    Raises ValueError for parameters that no search would back, starts < 1
+    or max_iters < 0, and for a space with dim p < 2, which has no plane to
+    search.
     """
-    if (starts < 1 or max_iters < 0
-            or not all(0 <= t < np.inf for t in (grad_tol, zero_tol))):
-        raise ValueError(f"need starts >= 1, max_iters >= 0 and finite "
-                         f"tolerances >= 0, got {starts}, {max_iters}, "
-                         f"{grad_tol}, {zero_tol}")
+    if starts < 1 or max_iters < 0:
+        raise ValueError(f"need starts >= 1 and max_iters >= 0, "
+                         f"got {starts}, {max_iters}")
     if space.dim_p < 2:
         named = " ".join([space.label, *(f"{k}={v}" for k, v in space.params)])
         raise ValueError(f"{named} has dim p = {space.dim_p}: no plane to search")
     t0 = time.perf_counter()
     cv = Curvature(space, metric)
-    zero_threshold = zero_tol / cv.max_eigenvalue
+    zero_threshold = ZERO_TOL / cv.max_eigenvalue
     n = space.dim_p
     draws = rng_from(seed, 1).standard_normal((starts, 2, n))
     secs, frames, reasons = _descend(
         cv, _partner_frames(cv, (draws @ cv.factor).reshape(starts, 2 * n)),
-        max_iters, grad_tol, 1.0 / cv.max_eigenvalue)
+        max_iters, GRAD_TOL, 1.0 / cv.max_eigenvalue)
     finals = tuple(None if r == FAILED else float(s)
                    for s, r in zip(secs, reasons))
     succeeded = [i for i, r in enumerate(reasons) if r != FAILED]
@@ -282,8 +280,8 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
         stop_reasons=tuple(reasons),
         starts=starts,
         max_iters=max_iters,
-        grad_tol=grad_tol,
-        zero_tol=zero_tol,
+        grad_tol=GRAD_TOL,
+        zero_tol=ZERO_TOL,
         zero_threshold=zero_threshold,
         seed=seed,
         disclaimer=DISCLAIMER,

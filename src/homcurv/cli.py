@@ -2,24 +2,25 @@
 
 Subcommands: catalog, build, decompose, metric, curvature, obstruct,
 certify, suite.  Results are JSON on stdout (or --out FILE, written
-atomically); the resolved seed and package version go to stderr.
+atomically); the package version goes to stderr.
 
 A space is named positionally, by catalog label (with --n/--p/--q) or by the
 path of a `build` document, so documents round-trip through the pipeline;
 `homcurv.metrics.metric_from_spec` parses --metric.  Exit code 0 means the
 command ran to completion, with findings reported in the JSON; 1 means a
 verification failed (a suite criterion, an inconsistent rank parity, an
-inconclusive search); 2 is a usage error, reported as JSON on stderr.
+inconclusive search); 2 is a usage error, argparse's included, reported as
+JSON on stderr.
 
-The default seed is 0; the HOMCURV_SEED environment variable overrides the
-default, and an explicit --seed overrides both.
+Only the plane searches draw from a seed: `obstruct` and `certify` take
+--seed (default 0) and record it in their documents.  Every other draw is
+named by its input, as `sample:SEED` metrics and `random:SEED` planes are.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -58,16 +59,12 @@ class CliError(Exception):
     pass
 
 
-def _resolve_seed(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("HOMCURV_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"HOMCURV_SEED must be an integer, got {env!r}")
-    return 0
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise CliError, so that they
+    reach stderr as the JSON error document; subparsers inherit the class."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _space_from_args(args):
@@ -92,9 +89,9 @@ def _space_from_args(args):
         raise CliError(str(exc))
 
 
-def _resolve_metric(space, spec: str, seed: int) -> np.ndarray:
+def _resolve_metric(space, spec: str) -> np.ndarray:
     try:
-        return metric_from_spec(space, spec, seed=seed)
+        return metric_from_spec(space, spec)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -135,35 +132,35 @@ def _add_space_arguments(sub):
     sub.add_argument("--q", type=int, help="second weight")
 
 
-def _cmd_catalog(args, seed: int) -> int:
+def _cmd_catalog(args) -> int:
     _emit(document("catalog", {"entries": catalog_entries()}), args.output)
     return 0
 
 
-def _cmd_build(args, seed: int) -> int:
+def _cmd_build(args) -> int:
     space = _space_from_args(args)
     _emit(space_document(space), args.output)
     return 0
 
 
-def _cmd_decompose(args, seed: int) -> int:
+def _cmd_decompose(args) -> int:
     space = _space_from_args(args)
-    _emit(decomposition_document(decompose(space, seed=seed)), args.output)
+    _emit(decomposition_document(decompose(space)), args.output)
     return 0
 
 
-def _cmd_metric(args, seed: int) -> int:
+def _cmd_metric(args) -> int:
     space = _space_from_args(args)
-    metric = _resolve_metric(space, args.metric, seed)
+    metric = _resolve_metric(space, args.metric)
     report = validate_metric(space, metric)
     _emit(metric_document(space, metric, report, provenance=args.metric),
           args.output)
     return 0
 
 
-def _cmd_curvature(args, seed: int) -> int:
+def _cmd_curvature(args) -> int:
     space = _space_from_args(args)
-    metric = _resolve_metric(space, args.metric, seed)
+    metric = _resolve_metric(space, args.metric)
     x, y = _resolve_plane(space, args.plane)
     cv = Curvature(space, metric)
     # the vectors are finite, so a Gram determinant that is not finite
@@ -185,6 +182,8 @@ def _cmd_curvature(args, seed: int) -> int:
         raise CliError(str(exc))
     _emit(document("curvature", {
         "label": space.label,
+        "metric_provenance": args.metric,
+        "plane": args.plane,
         "sectional": sec,
         "numerator": cv.numerator(x, y),
         "gram": gram,
@@ -215,25 +214,29 @@ def _metric_check(check: str, space, metric, seed: int, starts: int):
     return symmetrization_document(s), False
 
 
-def _cmd_obstruct(args, seed: int) -> int:
+def _cmd_obstruct(args) -> int:
     _require_counts(args, "starts", "samples")
-    space = _space_from_args(args)
     checks = (["commuting", "min-eigenvalue", "rank"]
               if args.check == "all" else [args.check])
+    metric_checks = [c for c in checks if c != "rank"]
+    if args.samples is not None and not metric_checks:
+        raise CliError("--samples needs a check that reads the metric; "
+                       "--check rank reads none")
+    space = _space_from_args(args)
     body = {"label": space.label, "metric_provenance": args.metric,
-            "draw_scheme": DRAW_SCHEME}
+            "draw_scheme": DRAW_SCHEME, "seed": args.seed}
     parity_ok = True
     if "rank" in checks:
         rp = rank_parity_check(space)
         body["rank"] = parity_document(rp)
         parity_ok = rp.parity_consistent
-    metric_checks = [c for c in checks if c != "rank"]
     fired = False
     if args.samples is None:
-        metric = _resolve_metric(space, args.metric, seed)
+        metric = _resolve_metric(space, args.metric) if metric_checks else None
         body["checks"] = {}
         for check in metric_checks:
-            doc, hit = _metric_check(check, space, metric, seed, args.starts)
+            doc, hit = _metric_check(check, space, metric, args.seed,
+                                     args.starts)
             body["checks"][check] = doc
             fired |= hit
     else:
@@ -247,7 +250,7 @@ def _cmd_obstruct(args, seed: int) -> int:
             metric = draw(base + i)
             row = {"metric_seed": base + i, "witness": None}
             for check in metric_checks:
-                doc, hit = _metric_check(check, space, metric, seed,
+                doc, hit = _metric_check(check, space, metric, args.seed,
                                          args.starts)
                 if check == "symmetrize":
                     row["symmetrization"] = doc
@@ -264,27 +267,22 @@ def _cmd_obstruct(args, seed: int) -> int:
     return 0 if parity_ok else 1
 
 
-def _cmd_certify(args, seed: int) -> int:
+def _cmd_certify(args) -> int:
     _require_counts(args, "starts")
     if args.max_iters < 0:
         raise CliError(f"--max-iters must be at least 0, got {args.max_iters}")
-    for flag, value in (("--grad-tol", args.grad_tol),
-                        ("--zero-tol", args.zero_tol)):
-        if not 0 <= value < math.inf:
-            raise CliError(f"{flag} must be finite and at least 0, got {value}")
     space = _space_from_args(args)
-    metric = _resolve_metric(space, args.metric, seed)
+    metric = _resolve_metric(space, args.metric)
     try:
-        report = certify(space, metric, seed=seed, starts=args.starts,
-                         max_iters=args.max_iters, grad_tol=args.grad_tol,
-                         zero_tol=args.zero_tol)
+        report = certify(space, metric, seed=args.seed, starts=args.starts,
+                         max_iters=args.max_iters)
     except ValueError as exc:
         raise CliError(str(exc))
     _emit(certify_document(report, provenance=args.metric), args.output)
     return 0 if report.verdict in ("positive", "nonpositive-witness") else 1
 
 
-def _cmd_suite(args, seed: int) -> int:
+def _cmd_suite(args) -> int:
     from .acceptance import criterion_names, run_all
 
     wanted = [t for t in (args.only or "").split(",") if t]
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     in-process `main` call (tests, benchmarks, the suite) but nothing for a
     process that runs one command.  Parsing leaves the parser unchanged.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homcurv",
         description="invariant metrics and sectional curvature on compact "
                     "homogeneous spaces")
@@ -327,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(s):
-        s.add_argument("--seed", type=int, default=None,
-                       help="override the default seed (and HOMCURV_SEED)")
         s.add_argument("--out", dest="output", metavar="FILE",
                        help="write the JSON document to this file")
 
@@ -370,6 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--starts", type=int, default=32)
     s.add_argument("--samples", type=int, default=None,
                    help="run the checks over N consecutively sampled metrics")
+    s.add_argument("--seed", type=int, default=0,
+                   help="seed of the witness searches' starts")
     common(s)
     s.set_defaults(func=_cmd_obstruct)
 
@@ -378,12 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--metric", default="normal")
     s.add_argument("--starts", type=int, default=64)
     s.add_argument("--max-iters", type=int, default=500)
-    s.add_argument("--grad-tol", type=float, default=1e-10)
-    s.add_argument("--zero-tol", type=float, default=1e-9,
-                   help="a plane counts as nonpositive when its sectional "
-                        "curvature is at most ZERO_TOL / (largest metric "
-                        "eigenvalue); the document records this threshold "
-                        "as zero_threshold (default: %(default)s)")
+    s.add_argument("--seed", type=int, default=0,
+                   help="seed of the search's starts")
     common(s)
     s.set_defaults(func=_cmd_certify)
 
@@ -396,11 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        seed = _resolve_seed(getattr(args, "seed", None))
-        print(f"homcurv {__version__} seed={seed}", file=sys.stderr)
-        return args.func(args, seed)
+        args = build_parser().parse_args(argv)
+        print(f"homcurv {__version__}", file=sys.stderr)
+        return args.func(args)
     except CliError as exc:
         json.dump({"schema_version": SCHEMA_VERSION, "error": str(exc)},
                   sys.stderr)

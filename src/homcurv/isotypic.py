@@ -107,18 +107,18 @@ def _component_weight(space: HomogeneousSpace, basis_p: np.ndarray) -> int:
     return wi
 
 
-def decompose(space: HomogeneousSpace, seed: int = 0) -> IsotypicDecomposition:
+def decompose(space: HomogeneousSpace) -> IsotypicDecomposition:
     """Split p into isotypic components of the isotropy action.
 
-    Raises ClusterError when the random separating element has ambiguous
-    eigenvalue gaps or fails the commutant-dimension cross-check; a different
-    seed resolves such draws.
+    The separating element is the combination of the symmetric commutant
+    basis with coefficients drawn from rng_from(0).  Raises ClusterError when
+    its eigenvalue gaps are ambiguous, an eigenspace is not invariant, or the
+    components fail the commutant-dimension cross-check.
     """
     n = space.dim_p
     acts = isotropy_actions(space)
     comm = symmetric_commutant_basis(space)
-    rng = rng_from(seed)
-    draw = np.einsum("c,cij->ij", rng.standard_normal(len(comm)), comm)
+    draw = np.einsum("c,cij->ij", rng_from(0).standard_normal(len(comm)), comm)
     vals, vecs = np.linalg.eigh(draw)
     clusters = cluster_values(vals)
 
@@ -132,8 +132,8 @@ def decompose(space: HomogeneousSpace, seed: int = 0) -> IsotypicDecomposition:
             leak = np.linalg.norm(img - u.T @ (u @ img))
             if leak > 1e-8:
                 raise ClusterError(
-                    "separating element eigenspace is not invariant; "
-                    "re-run with a different seed")
+                    f"an eigenspace of the separating element is not "
+                    f"invariant under the isotropy action (leak {leak:.3e})")
 
     restricted = [[u @ a @ u.T for a in acts] for u in summands]
     dims = [u.shape[0] for u in summands]
@@ -159,8 +159,7 @@ def decompose(space: HomogeneousSpace, seed: int = 0) -> IsotypicDecomposition:
         end_dim = _hom_dimension(dims[j], dims[j], restricted[j], restricted[j])
         if end_dim not in _END_DIM_TO_TYPE:
             raise ClusterError(
-                f"summand endomorphism dimension {end_dim} is not 1, 2 or 4; "
-                "re-run with a different seed")
+                f"summand endomorphism dimension {end_dim} is not 1, 2 or 4")
         basis = np.vstack([summands[i] for i in cls])
         weight = _component_weight(space, basis) if use_weights else None
         components.append(IsotypicComponent(
@@ -174,8 +173,8 @@ def decompose(space: HomogeneousSpace, seed: int = 0) -> IsotypicDecomposition:
     total = sum(c.commutant_contribution() for c in components)
     if total != len(comm):
         raise ClusterError(
-            f"commutant dimension check failed ({total} != {len(comm)}); "
-            "re-run with a different seed")
+            f"commutant dimension check failed: the components account for "
+            f"{total} of the {len(comm)} commutant dimensions")
 
     def sort_key(c: IsotypicComponent):
         diag = tuple(np.round(np.einsum("ki,ki->i", c.basis, c.basis), 6))

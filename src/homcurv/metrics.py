@@ -75,11 +75,10 @@ def sample_seed(spec: str) -> int:
     return int(spec[7:])
 
 
-def metric_from_spec(space: HomogeneousSpace, spec: str,
-                     seed: int = 0) -> np.ndarray:
+def metric_from_spec(space: HomogeneousSpace, spec: str) -> np.ndarray:
     """The metric named by `normal`, `diag:T0,T1,...`, `sample:SEED` or `file:PATH`.
 
-    Diagonal scales follow the component order of `decompose(space, seed)`;
+    Diagonal scales follow the component order of `decompose(space)`;
     a file's "matrix" field (a metric document's) is validated on reading.
     Raises ValueError for a malformed or unknown spec or an invalid file.
     """
@@ -90,7 +89,7 @@ def metric_from_spec(space: HomogeneousSpace, spec: str,
             scales = [float(t) for t in spec[5:].split(",")]
         except ValueError:
             raise ValueError(f"bad diagonal metric spec {spec!r}") from None
-        return diagonal_metric(decompose(space, seed=seed), scales)
+        return diagonal_metric(decompose(space), scales)
     if spec.startswith("sample:"):
         return sample_metric(space, sample_seed(spec))
     if spec.startswith("file:"):

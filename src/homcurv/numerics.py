@@ -112,7 +112,7 @@ def cluster_values(values: np.ndarray) -> list[np.ndarray]:
         if lo <= gap < hi:
             raise ClusterError(
                 f"ambiguous cluster boundary: gap {gap:.3e} lies in the guard band "
-                f"[{lo:.3e}, {hi:.3e}); re-run with a different seed")
+                f"[{lo:.3e}, {hi:.3e})")
         if gap < lo:
             clusters[-1].append(int(idx))
         else:

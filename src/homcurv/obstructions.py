@@ -213,7 +213,10 @@ def _find_pair(space: HomogeneousSpace, blocks: list, starts: int):
     when the pair came from linear algebra or every block was proved empty),
     the objective (the pair's ratio, else the lower of the best searched
     value and the proved bound) and the number of blocks proved empty.
+    Raises ValueError for starts < 1, which no search would back.
     """
+    if starts < 1:
+        raise ValueError(f"need at least 1 start per searched block, got {starts}")
     best = bound = np.inf
     proved = 0
     for k, (bx, by, same, key) in enumerate(blocks):

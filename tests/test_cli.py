@@ -1,12 +1,10 @@
 """End-to-end tests for the command line interface.
 
-Each test spawns the CLI as a subprocess so exit codes, stdout/stderr
-separation, and environment handling are exercised exactly as a user
-would see them.
+Each test spawns the CLI as a subprocess so exit codes and the stdout/stderr
+separation are exercised exactly as a user would see them.
 """
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -15,13 +13,8 @@ import pytest
 CLI = [sys.executable, "-m", "homcurv.cli"]
 
 
-def run_cli(*args, env_seed=None):
-    env = dict(os.environ)
-    env.pop("HOMCURV_SEED", None)
-    if env_seed is not None:
-        env["HOMCURV_SEED"] = env_seed
-    return subprocess.run(CLI + list(args), capture_output=True,
-                          text=True, env=env)
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
 def stdout_doc(proc):
@@ -49,8 +42,27 @@ def test_catalog_lists_every_entry():
 
 
 def test_banner_reports_version_and_seed():
+    # the version only: a seed is recorded in the documents that draw from it
     proc = run_cli("catalog")
-    assert proc.stderr.startswith("homcurv 0.1.0 seed=0")
+    assert proc.stderr == "homcurv 0.1.0\n"
+
+
+@pytest.mark.parametrize("args, names", [
+    (["certify", "berger7", "--bogus"], "unrecognized arguments: --bogus"),
+    (["certify", "berger7", "--starts", "abc"], "argument --starts"),
+    ([], "required: command"),
+    # only the plane searches take a seed, and the tolerances are constants
+    (["build", "berger7", "--seed", "3"], "unrecognized arguments: --seed"),
+    (["certify", "berger7", "--zero-tol", "0"],
+     "unrecognized arguments: --zero-tol"),
+])
+def test_command_line_errors_are_json_documents(args, names):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert names in stderr_error(proc)
+    code, out, err = _main_in_process(*args)
+    assert (code, out, err) == (2, "", proc.stderr)
 
 
 def test_unknown_label_is_a_usage_error():
@@ -260,13 +272,6 @@ def test_certify_rejects_starts_below_one():
 
 @pytest.mark.parametrize("args, message", [
     (["berger7", "--max-iters", "-1"], "--max-iters must be at least 0"),
-    (["berger7", "--grad-tol", "inf"], "--grad-tol must be finite"),
-    (["stiefel", "--metric", "sample:0", "--zero-tol", "nan"],
-     "--zero-tol must be finite"),
-    # below its minimum of -48.5, a negative threshold would read `positive`
-    (["stiefel", "--metric", "sample:0", "--zero-tol=-1000"],
-     "--zero-tol must be finite and at least 0"),
-    (["berger7", "--grad-tol=-1"], "--grad-tol must be finite and at least 0"),
     # dim p = 1: no plane, so no verdict
     (["sphere-so", "--n", "1"], "sphere-so n=1 has dim p = 1"),
 ])
@@ -401,22 +406,34 @@ def test_output_flag_writes_file(tmp_path):
     assert doc["label"] == "berger7"
 
 
-def test_seed_env_and_flag_precedence():
-    proc = run_cli("certify", "wallach6", "--starts", "4", env_seed="7")
-    assert "seed=7" in proc.stderr.splitlines()[0]
+@pytest.mark.parametrize("command", [
+    ["certify", "wallach6", "--starts", "4"],
+    ["obstruct", "berger7", "--check", "commuting", "--starts", "2"],
+])
+def test_plane_search_documents_record_their_seed(command):
+    assert stdout_doc(run_cli(*command))["seed"] == 0
+    assert stdout_doc(run_cli(*command, "--seed", "9"))["seed"] == 9
+
+
+def test_obstruct_rank_reads_no_metric():
+    proc = run_cli("obstruct", "berger7", "--check", "rank",
+                   "--metric", "file:/nonexistent.json")
+    assert proc.returncode == 0
     doc = stdout_doc(proc)
-    assert doc["seed"] == 7
-
-    proc = run_cli("certify", "wallach6", "--starts", "4", "--seed", "9",
-                   env_seed="7")
-    assert "seed=9" in proc.stderr.splitlines()[0]
-    assert stdout_doc(proc)["seed"] == 9
-
-
-def test_bad_seed_env_is_usage_error():
-    proc = run_cli("catalog", env_seed="xyz")
+    assert doc["checks"] == {} and doc["rank"]["parity_consistent"] is True
+    proc = run_cli("obstruct", "berger7", "--check", "rank",
+                   "--metric", "sample:0", "--samples", "3")
     assert proc.returncode == 2
-    assert "HOMCURV_SEED" in stderr_error(proc)
+    assert proc.stdout == ""
+    assert "--samples needs a check that reads the metric" in stderr_error(proc)
+
+
+def test_curvature_document_names_its_inputs():
+    proc = run_cli("curvature", "berger7", "--metric", "sample:2",
+                   "--plane", "random:5")
+    doc = stdout_doc(proc)
+    assert doc["metric_provenance"] == "sample:2"
+    assert doc["plane"] == "random:5"
 
 
 def test_suite_filter_runs_selected_criteria():

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+import homcurv.isotypic
 from homcurv import catalog_build
 from homcurv.isotypic import decompose, symmetric_commutant_basis
+from homcurv.numerics import rng_from
 
 # label, params -> dims, multiplicities, division types, weights, commutant dim
 EXPECTED = {
@@ -100,10 +102,16 @@ def test_commutant_basis_commutes_and_is_orthonormal():
             assert np.max(np.abs(a @ b - b @ a)) < 1e-10
 
 
-def test_decomposition_seed_independent():
+def test_decomposition_seed_independent(monkeypatch):
+    # the separating element is one fixed draw; another draw gives the same
+    # decomposition
     space = catalog_build("sp2circle", p=3, q=1)
-    d0 = decompose(space, seed=0)
-    d1 = decompose(space, seed=12345)
+    d0 = decompose(space)
+    keys = []
+    monkeypatch.setattr(homcurv.isotypic, "rng_from",
+                        lambda *key: keys.append(key) or rng_from(12345))
+    d1 = decompose(space)
+    assert keys == [(0,)]
     assert d0.dims() == d1.dims()
     assert d0.weights() == d1.weights()
     assert ([c.division_type for c in d0.components]

@@ -90,6 +90,17 @@ def test_min_eigenvalue_witness_absent_on_positive_space():
     assert w.objective > 1e-6
 
 
+@pytest.mark.parametrize("witness, name, count", [
+    (commuting_witness, "starts", 0),
+    (min_eigenvalue_witness, "draws", -3),
+])
+def test_witnesses_reject_counts_below_one(witness, name, count):
+    # berger7's normal metric has one 7-dimensional eigenspace to search
+    space = catalog_build("berger7")
+    with pytest.raises(ValueError, match=f"at least 1 start .*got {count}$"):
+        witness(space, normal_metric(space), **{name: count})
+
+
 def test_one_dimensional_bottom_eigenspace_proves_absence(monkeypatch):
     # sphere-su n=2 at sample:0: E_0 is a line and ad_v has σ₂ ≈ 1.2 on v^⊥;
     # sphere-so n=1 and sphere-u n=0 have dim p = 1, so v^⊥ is empty and
