@@ -1,31 +1,28 @@
 """Multistart descent search for nonpositively curved planes.
 
 The search runs in the coordinates x′ = Lᵀx (G = LLᵀ) of `Curvature`, where
-the metric is the identity.  One call of rng_from(seed, 1) draws all starts
-(draw scheme 2), so fewer starts draw a prefix of more.  Each start pairs
-its drawn axis x with its best partner: for a unit x, the planes (x, y) with
-y orthogonal to x have the Rayleigh quotients of the Jacobi operator J_x as
-their values, so the start frame's y is the lowest eigenvector of J_x on the
-complement of x.  On many metrics that plane is already a critical point at
-the minimum, and the start stops before its first step.  From that frame
-each start descends the sectional curvature of the spanned plane, with a
-Barzilai-Borwein trial step, nonmonotone Armijo backtracking and an
-orthonormalized frame after every accepted step.  The Armijo test compares
-a trial with the largest of the start's last NONMONOTONE values, not with
-its current one (Grippo-Lampariello-Lucidi), so most Barzilai-Borwein steps
-pass at once; a value may rise for a while, and each start reports the
-lowest value it reached and the plane where it reached it.
-All starts descend as one batch: every round evaluates the planes of the
-starts still running in one product against the curvature operator, while
-each start keeps its own step, its own backtracking and its own stop.  Every
-trial is evaluated once, at its orthonormal frame, where the Gram determinant
-is 1: the value and the gradients come from one call, and an accepted trial
-hands both to the next round.  A trial whose Gram determinant fails the
-dependence test (DEPENDENT_TOL) or whose value is not finite is rejected.  A
-start stops as `converged` when its gradient, measured in the metric's scale,
-falls below GRAD_TOL, as `line-search` when no step passes the Armijo test,
-at `max-iters`, or as `failed` when its start frame is dependent or its
-values are not finite.  No rule stops a start on its value alone: a descent
+the metric is the identity.  One call of rng_from(seed, 2) draws one axis per
+start (draw scheme 3), so fewer starts draw a prefix of more.  For a unit
+axis x the planes (x, y) with y orthogonal to x take the Rayleigh quotients
+of the Jacobi operator J_x as their values, so f(x), the lowest eigenvalue of
+J_x on the complement of x, is the lowest plane through x, and its lowest
+eigenvector is the best partner.  Each start descends f on the sphere of
+axes (variable projection, Golub and Pereyra 1973): one batched eigenproblem
+per evaluation (`PlaneForm.lowest_planes`) gives the value, the partner
+and, by the envelope theorem, the gradient.  On many metrics f is constant
+and every start stops at its first evaluation.  The descent takes a
+Barzilai-Borwein trial step with nonmonotone Armijo backtracking.  The Armijo
+test compares a trial with the largest of the start's last NONMONOTONE
+values, not with its current one (Grippo-Lampariello-Lucidi), so most
+Barzilai-Borwein steps pass at once; a value may rise for a while, and each
+start reports the lowest value it reached and the plane where it reached it.
+All starts descend as one batch: every round evaluates the axes of the
+starts still running in one eigenproblem batch, while each start keeps its
+own step, its own backtracking and its own stop.  A start stops as
+`converged` when its gradient, measured in the metric's scale, falls below
+GRAD_TOL, as `line-search` when no step passes the Armijo test, at
+`max-iters`, or as `failed` when its drawn axis is zero or not finite or a
+value is not finite.  No rule stops a start on its value alone: a descent
 that creeps down an ill-conditioned valley toward a flat plane keeps going
 until its gradient vanishes or its iterations run out.
 
@@ -44,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import DEPENDENT_TOL, Curvature, PlaneForm
+from .curvature import Curvature
 from .numerics import DRAW_SCHEME, rng_from
 from .spaces import HomogeneousSpace
 
@@ -85,152 +82,102 @@ class CertifyReport:
     wall_time: float = field(compare=False, default=0.0)
 
 
-def _orthonormalize(x: np.ndarray, y: np.ndarray):
-    """Orthonormal frames of the rows' planes and the mask of dependent rows.
-
-    A row is dependent when the Gram determinant of its plane is at most
-    DEPENDENT_TOL times |x|² |y|², a test that scaling leaves unchanged.
-    """
-    x = x / np.sqrt(np.vecdot(x, x))[:, None]
-    along = np.vecdot(y, x)
-    y = y - along[:, None] * x
-    ny2 = np.vecdot(y, y)
-    # the Gram determinant of (x̂, y) is ny², and |y|² = along² + ny²
-    dependent = ny2 <= DEPENDENT_TOL * (along * along + ny2)
-    ny = np.sqrt(np.where(dependent, 1.0, ny2))[:, None]
-    return x, y / ny, dependent
-
-
-def _evaluate(cv: PlaneForm, frames: np.ndarray, within: tuple | None = None):
-    """Move every row (x then y) to its orthonormal frame and evaluate it.
-
-    Returns the frames, their sectional values (+inf where a row is dependent
-    or its value is not finite) and their gradients, projected by `within`.
-    """
-    n = frames.shape[1] // 2
-    x, y, dependent = _orthonormalize(frames[:, :n], frames[:, n:])
-    sec, dx, dy = cv.orthonormal_gradient(x, y)
-    if within is not None:
-        dx, dy = dx @ within[0], dy @ within[1]
-    sec = np.where(dependent | ~np.isfinite(sec), np.inf, sec)
-    return (np.concatenate([x, y], axis=1), sec,
-            np.concatenate([dx, dy], axis=1))
-
-
-def _partner_frames(cv: PlaneForm, draws: np.ndarray) -> np.ndarray:
-    """Each drawn frame with its y replaced by the best partner of its x, the
-    lowest eigenvector of J_x on the complement of x.
-
-    The unit x is projected out of J_x and shifted above its spectrum, so the
-    eigenproblem never returns it.  Rows that are dependent or not finite are
-    returned as drawn, so they still fail.
-    """
-    n = draws.shape[1] // 2
-    x, _, dependent = _orthonormalize(draws[:, :n], draws[:, n:])
-    ok = ~dependent & np.isfinite(draws).all(axis=1)
-    x = x[ok]
-    jac = cv.jacobi_operator(x)
-    xx = x[:, :, None] * x[:, None, :]
-    proj = np.eye(n) - xx
-    top = np.linalg.norm(jac, axis=(1, 2))
-    shift = np.where(top > 0, 2.0 * top, 1.0)[:, None, None]
-    out = draws.copy()
-    out[ok, n:] = np.linalg.eigh(proj @ jac @ proj + shift * xx)[1][:, :, 0]
-    return out
-
-
-def _line_search(cv: PlaneForm, v: np.ndarray, grad: np.ndarray,
-                 ref: np.ndarray, gn2: np.ndarray, step: np.ndarray,
-                 within: tuple | None):
-    """Armijo backtracking from every frame at once, each with its own step.
+def _line_search(evaluate, v: np.ndarray, grad: np.ndarray, ref: np.ndarray,
+                 gn2: np.ndarray, step: np.ndarray):
+    """Armijo backtracking from every axis at once, each with its own step.
 
     A trial passes when its value is at most its row's reference `ref` less
     ARMIJO * step * |grad|²; rows that fail halve their step and try again.
     Returns the mask of rows that found a step and, on those rows, the
-    accepted trial's orthonormal frame, value and gradient (the other rows
-    hold a rejected trial).
+    accepted trial's evaluation (the other rows hold a rejected trial).
     """
-    frames, secs, grads = _evaluate(cv, v - step[:, None] * grad, within)
-    accepted = secs <= ref - ARMIJO * step * gn2
+    trial = evaluate(v - step[:, None] * grad)
+    accepted = trial[1] <= ref - ARMIJO * step * gn2
     rows = np.flatnonzero(~accepted)
     for _ in range(MAX_BACKTRACKS - 1):
         if not rows.size:
             break
         step = 0.5 * step
-        t, vals, g = _evaluate(cv, v[rows] - step[rows, None] * grad[rows],
-                               within)
-        good = vals <= ref[rows] - ARMIJO * step[rows] * gn2[rows]
+        again = evaluate(v[rows] - step[rows, None] * grad[rows])
+        good = again[1] <= ref[rows] - ARMIJO * step[rows] * gn2[rows]
         done = rows[good]
-        frames[done], secs[done], grads[done] = t[good], vals[good], g[good]
+        for whole, part in zip(trial, again):
+            whole[done] = part[good]
         accepted[done] = True
         rows = rows[~good]
-    return accepted, frames, secs, grads
+    return accepted, trial
 
 
-def _descend(cv: PlaneForm, draws: np.ndarray, max_iters: int,
-             grad_tol: float, unit: float, within: tuple | None = None):
-    """Minimize the sectional value of every start's plane in one batch.
+def _descend(evaluate, coeffs: np.ndarray, max_iters: int, grad_tol: float,
+             unit: float):
+    """Minimize the lowest plane value through the axis of every row of
+    `coeffs` in one batch.
 
-    `draws` holds one start frame per row, x then y.  Each start keeps its
-    own Barzilai-Borwein step, nonmonotone Armijo backtracking and stop rule;
-    every round evaluates all starts still descending together.  Projectors
-    `within` for x and y keep frames drawn in two equal or orthogonal
-    subspaces, or in one subspace and all of p, inside them.  Returns each
-    row's lowest value and the frame that reached it, and its stop reason
-    (a failed row's value is not a result).
+    `evaluate` is a `PlaneForm.lowest_planes` with its bases bound: it maps
+    axis coefficients to their unit rows, the values, the gradients in the
+    coefficients and the partners.  Each start keeps its own
+    Barzilai-Borwein step, nonmonotone Armijo backtracking and stop rule;
+    every round evaluates all starts still descending together.  Returns
+    each row's lowest value and the unit coefficients and partner that
+    reached it, and its stop reason (a failed row's value is not a result).
 
-    The start frames are evaluated once; after that every frame, value and
-    gradient is the line search's accepted trial, evaluated at its
-    orthonormal frame.  Each start's lowest value, its frame and its stop
-    reason (an index into STOP_REASONS) live in arrays over all rows, written
-    at `run`, the rows still descending; the rest of its state (frame,
-    gradient, step and recent values) follows `run`, and a row that stops is
-    dropped from it.  A row stops on its gradient, a failed line search, a
-    value that is not finite or max_iters, never on its value alone.  A step
-    length carries the unit 1/curvature: `unit` is a curvature scale of the
-    operator (certify passes 1/λ_max(G)), and under G -> λG the operator, the
-    gradient and `unit` all scale by 1/λ.
+    When every start stops at its first evaluation, no descent state is
+    built.  Otherwise each start's lowest value, axis, partner and stop
+    reason (an index into STOP_REASONS) live in arrays over all rows,
+    written at `run`, the rows still descending; the rest of its state
+    (axis, gradient, step and recent values) follows `run`, and a row that
+    stops is dropped from it.  A row stops on its gradient, a failed line
+    search, a value that is not finite or max_iters, never on its value
+    alone.  A step length carries the unit 1/curvature: `unit` is a
+    curvature scale of the operator (certify passes 1/λ_max(G)), and under
+    G -> λG the operator, the gradient and `unit` all scale by 1/λ.
     So the stop test |∇| <= grad_tol · unit, the first step
     1 / max(unit, |∇|) and the Barzilai-Borwein clamp [1e-12, 1e6] / unit
     read the same on every multiple of a metric.
     """
-    v, sec, grad = _evaluate(cv, draws, within)
-    # a dependent or non-finite start fails before the first round
-    failed = np.isinf(sec)
-    reason = np.where(failed, _CODE[FAILED], _CODE[MAX_ITERS])
-    best, best_v = sec, np.where(failed[:, None], draws, v)
-    run = np.flatnonzero(~failed)
-    v, sec, grad = v[run], sec[run], grad[run]
-    recent = np.full((len(run), NONMONOTONE), -np.inf)
+    best_v, best, grad, best_y = evaluate(coeffs)
     gn2 = np.vecdot(grad, grad)
+    failed = np.isinf(best) | ~np.isfinite(gn2)
+    reason = np.full(len(best), _CODE[MAX_ITERS])
+    reason[gn2 <= (grad_tol * unit) ** 2] = _CODE[CONVERGED]
+    reason[failed] = _CODE[FAILED]
+    run = np.flatnonzero(reason == _CODE[MAX_ITERS])
+    if not run.size or not max_iters:
+        return best, best_v, best_y, [STOP_REASONS[k] for k in reason.tolist()]
+    v, grad, gn2 = best_v[run], grad[run], gn2[run]
+    recent = np.full((len(run), NONMONOTONE), -np.inf)
+    recent[:, 0] = best[run]
     step = 1.0 / np.maximum(unit, np.sqrt(gn2))
-    for it in range(max_iters + 1):
+    for it in range(1, max_iters + 1):
+        accepted, (trial_v, sec, trial_grad, y) = _line_search(
+            evaluate, v, grad, recent.max(axis=1), gn2, step)
+        if not accepted.all():
+            reason[run[~accepted]] = _CODE[LINE_SEARCH]
+            run, v, grad, recent, trial_v, sec, trial_grad, y = (
+                a[accepted] for a in (run, v, grad, recent, trial_v, sec,
+                                      trial_grad, y))
+            if not run.size:
+                break
+        dv, dg = trial_v - v, trial_grad - grad
+        v, grad, gn2 = trial_v, trial_grad, np.vecdot(trial_grad, trial_grad)
+        denom = np.vecdot(dg, dg)
+        step = np.divide(np.abs(np.vecdot(dv, dg)), denom,
+                         out=np.ones_like(denom), where=denom > 1e-300)
+        step = np.minimum(np.maximum(step, 1e-12 / unit), 1e6 / unit)
         recent[:, it % NONMONOTONE] = sec
         lower = sec < best[run]
         up = run[lower]
-        best[up], best_v[up] = sec[lower], v[lower]
+        best[up], best_v[up], best_y[up] = sec[lower], v[lower], y[lower]
         failed, converged = ~np.isfinite(gn2), gn2 <= (grad_tol * unit) ** 2
         done = failed | converged
         if done.any():
             reason[run[done]] = np.where(failed, _CODE[FAILED],
                                          _CODE[CONVERGED])[done]
-            run, v, sec, grad, gn2, step, recent = (a[~done] for a in (
-                run, v, sec, grad, gn2, step, recent))
-        if it == max_iters or not run.size:
-            break
-        accepted, frames, secs, grads = _line_search(
-            cv, v, grad, recent.max(axis=1), gn2, step, within)
-        if not accepted.all():
-            reason[run[~accepted]] = _CODE[LINE_SEARCH]
-            run, v, grad, recent = (a[accepted] for a in (run, v, grad, recent))
-            frames, secs, grads = frames[accepted], secs[accepted], grads[accepted]
-        dv, dg = frames - v, grads - grad
-        v, sec, grad, gn2 = frames, secs, grads, np.vecdot(grads, grads)
-        denom = np.vecdot(dg, dg)
-        step = np.divide(np.abs(np.vecdot(dv, dg)), denom,
-                         out=np.ones_like(denom), where=denom > 1e-300)
-        step = np.minimum(np.maximum(step, 1e-12 / unit), 1e6 / unit)
-    return best, best_v, [STOP_REASONS[k] for k in reason.tolist()]
+            run, v, grad, gn2, step, recent = (a[~done] for a in (
+                run, v, grad, gn2, step, recent))
+            if not run.size:
+                break
+    return best, best_v, best_y, [STOP_REASONS[k] for k in reason.tolist()]
 
 
 def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
@@ -251,17 +198,17 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
     cv = Curvature(space, metric)
     zero_threshold = ZERO_TOL / cv.max_eigenvalue
     n = space.dim_p
-    draws = rng_from(seed, 1).standard_normal((starts, 2, n))
-    secs, frames, reasons = _descend(
-        cv, _partner_frames(cv, (draws @ cv.factor).reshape(starts, 2 * n)),
-        max_iters, GRAD_TOL, 1.0 / cv.max_eigenvalue)
-    finals = tuple(None if r == FAILED else float(s)
-                   for s, r in zip(secs, reasons))
+    draws = rng_from(seed, 2).standard_normal((starts, n))
+    secs, axes, partners, reasons = _descend(
+        cv.lowest_planes, draws @ cv.factor, max_iters, GRAD_TOL,
+        1.0 / cv.max_eigenvalue)
+    finals = tuple(None if r == FAILED else s
+                   for s, r in zip(secs.tolist(), reasons))
     succeeded = [i for i, r in enumerate(reasons) if r != FAILED]
-    best, best_v = np.nan, np.zeros((2, n))
+    best, plane = np.nan, np.zeros((2, n))
     if succeeded:
         i = min(succeeded, key=lambda k: secs[k])
-        best, best_v = secs[i], frames[i].reshape(2, n) @ cv.basis
+        best, plane = secs[i], np.stack([axes[i], partners[i]]) @ cv.basis
     converged = reasons.count(CONVERGED)
     if best <= zero_threshold:          # False for NaN, when no start finished
         verdict = "nonpositive-witness"
@@ -273,8 +220,8 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
         label=space.label,
         verdict=verdict,
         min_sectional=float(best),
-        plane_x=tuple(float(c) for c in best_v[0]),
-        plane_y=tuple(float(c) for c in best_v[1]),
+        plane_x=tuple(plane[0].tolist()),
+        plane_y=tuple(plane[1].tolist()),
         start_minima=finals,
         converged_starts=converged,
         stop_reasons=tuple(reasons),

@@ -199,6 +199,17 @@ def _require_counts(args, *names: str) -> None:
             raise CliError(f"--{name} must be at least 1, got {value}")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as the draw keys need."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _metric_check(check: str, space, metric, seed: int, starts: int):
     """Run one metric-dependent check; returns (document, fired)."""
     if check == "commuting":
@@ -366,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--starts", type=int, default=32)
     s.add_argument("--samples", type=int, default=None,
                    help="run the checks over N consecutively sampled metrics")
-    s.add_argument("--seed", type=int, default=0,
+    s.add_argument("--seed", type=_seed, default=0,
                    help="seed of the witness searches' starts")
     common(s)
     s.set_defaults(func=_cmd_obstruct)
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--metric", default="normal")
     s.add_argument("--starts", type=int, default=64)
     s.add_argument("--max-iters", type=int, default=500)
-    s.add_argument("--seed", type=int, default=0,
+    s.add_argument("--seed", type=_seed, default=0,
                    help="seed of the search's starts")
     common(s)
     s.set_defaults(func=_cmd_certify)

@@ -20,8 +20,9 @@ R̂w.  `PlaneForm` does these Euclidean evaluations for any symmetric
 operator (the witness searches use it for |[x, y]|²), with no quotient on
 the orthonormal frames of the plane searches.  For a fixed x the numerator
 is a quadratic form in y, the Jacobi operator J_x = A R̂ Aᵀ with row b of A
-equal to x ∧ e_b (`jacobi_operator`); certify starts each descent at its
-lowest eigenvector on the complement of x.  `Curvature` holds L and L⁻¹,
+equal to x ∧ e_b (`jacobi_operator`), and the plane searches descend on the
+axis x alone: `lowest_planes` pairs each axis with the lowest eigenvector of
+J_x on the complement of x.  `Curvature` holds L and L⁻¹,
 and its public evaluations take p-coordinates.  On the planes themselves
 the brackets give `four_term_numerator`: one batch for the planes so close
 to flat that wᵀR̂w is within its own rounding noise (see NOISE_BAND), and
@@ -134,6 +135,9 @@ class PlaneForm:
         # Ω with upper triangle Mw; each entry has one nonzero term, so both
         # products are exact
         self._wedge_map = pair_tables(n)[2]
+        # |J_x| <= |M| for unit x, so 2|M| lifts x above the spectrum of J_x
+        self._norm = float(np.linalg.norm(operator))
+        self._shift = 2.0 * self._norm if self._norm > 0 else 1.0
 
     def _wedge(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         outer = x[..., :, None] * y[..., None, :]
@@ -167,25 +171,55 @@ class PlaneForm:
         w = self._wedge(x, y)
         return self._value(w, w @ self.operator, x, y)
 
-    # evaluations of the plane searches -----------------------------------
+    # the evaluation of the plane searches ---------------------------------
+
+    def _axis_wedges(self, x: np.ndarray) -> np.ndarray:
+        """A, shape (..., n, pairs), whose row b is x ∧ e_b."""
+        n, pairs = x.shape[-1], self._wedge_map.shape[1]
+        return (x @ self._wedge_map.reshape(n, -1)).reshape(
+            x.shape[:-1] + (n, pairs))
 
     def jacobi_operator(self, x: np.ndarray) -> np.ndarray:
-        """The Jacobi operators J_x, shape (..., n, n): yᵀJ_x y = wᵀMw for
-        w = x ∧ y, and J_x x = 0.
-
-        J_x = A M Aᵀ, where row b of A is x ∧ e_b.
-        """
-        n, pairs = x.shape[-1], self._wedge_map.shape[1]
-        a = (x @ self._wedge_map.reshape(n, -1)).reshape(x.shape[:-1] + (n, pairs))
+        """The Jacobi operators J_x = A M Aᵀ, shape (..., n, n): yᵀJ_x y =
+        wᵀMw for w = x ∧ y, and J_x x = 0."""
+        a = self._axis_wedges(x)
         return a @ self.operator @ np.swapaxes(a, -1, -2)
 
-    def orthonormal_gradient(self, x: np.ndarray, y: np.ndarray):
-        """Sectional value and gradients at orthonormal frames (x, y): the
-        Gram determinant is 1 and is not computed, so the value is the
-        numerator and the gradients are (2Ωy − 2·sec·x, −2Ωx − 2·sec·y)."""
-        sec, fx, fy = self._frame_terms(x, y)
-        s2 = 2 * sec[..., None]
-        return sec, fx - s2 * x, fy - s2 * y
+    def lowest_planes(self, c: np.ndarray, bx: np.ndarray | None = None,
+                      by: np.ndarray | None = None):
+        """The lowest plane through each axis x = c @ bx (c itself when bx is
+        None) with its partner y in the span of the orthonormal rows `by`
+        (all of R^n when None); c has one axis per row.
+
+        For a unit x the planes (x, y) with y ⊥ x take the Rayleigh quotients
+        of the Jacobi operator J_x = A M Aᵀ, row b of A equal to x ∧ e_b, as
+        their values.  So y is the lowest eigenvector of B M Bᵀ, B = by A,
+        with x shifted above the spectrum so that it is never returned, and
+        the value is wᵀMw at w = x ∧ y = Bᵀu.  By the envelope theorem the
+        gradient of that lowest value in c is the x half of the frame
+        gradient, bx(2Ωy) − 2·sec·c.  Returns the unit coefficients, the
+        values (inf where c is zero or not finite, or the value is not
+        finite), the gradients in c and the partners y.
+        """
+        norm = np.sqrt(np.vecdot(c, c))
+        ok = np.isfinite(norm) & (norm > 0)
+        # a failed row evaluates the stand-in axis (1, ..., 1) and reports inf
+        c = (np.where(ok[:, None], c, 1.0)
+             / np.where(ok, norm, np.sqrt(c.shape[1]))[:, None])
+        x = c if bx is None else c @ bx
+        n, a = x.shape[1], self._axis_wedges(x)
+        b, along = (a, x) if by is None else (by @ a, x @ by.T)
+        bm = b @ self.operator
+        jac = bm @ b.swapaxes(1, 2)
+        jac += self._shift * along[:, :, None] * along[:, None, :]
+        u = np.linalg.eigh(jac)[1][:, :, :1].swapaxes(1, 2)
+        y = u[:, 0] if by is None else u[:, 0] @ by
+        mw = (u @ bm)[:, 0]
+        sec = self._value((u @ b)[:, 0], mw, x, y)
+        omega = (mw @ self._wedge_map.T).reshape(-1, n, n)
+        fx = 2.0 * (omega @ y[:, :, None])[:, :, 0]
+        grad = (fx if bx is None else fx @ bx.T) - 2.0 * sec[:, None] * c
+        return c, np.where(ok & np.isfinite(sec), sec, np.inf), grad, y
 
 
 class Curvature(PlaneForm):
@@ -209,7 +243,7 @@ class Curvature(PlaneForm):
         self.gm_inv = self.basis.T @ self.basis      # G⁻¹ = L⁻ᵀL⁻¹
         super().__init__(curvature_operator(space, metric, self.gm_inv,
                                             self.basis), space.dim_p)
-        self._noise_scale = NOISE_BAND * float(np.linalg.norm(self.operator))
+        self._noise_scale = NOISE_BAND * self._norm
 
     # evaluations in p-coordinates; bench/spans.py times numerator, sectional
     # and sectional_gradient by their names on this class

@@ -7,14 +7,15 @@ from __future__ import annotations
 
 import numpy as np
 
-DRAW_SCHEME = 2    # of the plane searches' starts, recorded in their documents
+DRAW_SCHEME = 3    # of the plane searches' starts, recorded in their documents
 
 
 def rng_from(*parts: int) -> np.random.Generator:
     """Deterministic generator keyed by a tuple of non-negative integers.
 
     SeedSequence drops trailing zero words, so rng_from(s) is rng_from(s, 0);
-    a plane search draws from rng_from(*key, 1) to stay apart from both.
+    the plane searches add a last word to stay apart from both: certify
+    draws from rng_from(seed, 2) and a witness block from rng_from(*key, 1).
     """
     if min(parts, default=0) < 0:
         raise ValueError(f"seed parts must be non-negative, got {parts}")

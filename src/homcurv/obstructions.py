@@ -7,7 +7,8 @@ partner z in p yields the plane (x, G^-1 z) with nonpositive numerator.  Both
 witnesses look for their pair with one block decision: the bracket is linear
 in x∧y, so on small blocks of two subspaces the pair is found, or proved
 absent, by linear algebra, and larger blocks are searched by certify's
-batched descent of |[x, y]|² / Gram, kept inside the subspaces.  The
+batched descent of |[x, y]|² / Gram on the axis x in the first subspace,
+each axis paired with its lowest partner y in the second.  The
 commuting witness passes pairs of eigenspaces; the min-eigenvalue witness
 passes (v, v^⊥) for each basis vector v of the bottom eigenspace E_0, and
 (E_0, p) when dim E_0 > 1.  Finally the parity check compares the ambient
@@ -21,6 +22,7 @@ of that space become visible.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -97,20 +99,18 @@ def _bracket_ratio(space: HomogeneousSpace, x: np.ndarray,
 
 def _search_planes(space: HomogeneousSpace, basis_x: np.ndarray,
                    basis_y: np.ndarray, coeffs: np.ndarray):
-    """Descend the commutator form from every row of `coeffs` (coefficients
-    on basis_x, then on basis_y) with x and y kept in the spans of those
-    orthonormal rows.
+    """Descend the commutator form from every row of `coeffs`, axis
+    coefficients on the orthonormal rows basis_x, with each axis's partner
+    the lowest plane through it with y in the span of basis_y.
 
-    Returns every start's final value (inf if it failed) and frame x, y.
+    Returns every start's final value (inf if it failed) and plane x, y.
     """
-    kx, n = basis_x.shape
-    draws = np.concatenate([coeffs[:, :kx] @ basis_x,
-                            coeffs[:, kx:] @ basis_y], axis=1)
-    vals, frames, reasons = _descend(
-        _commutator_form(space), draws, SEARCH_ITERS, SEARCH_GRAD_TOL, 1.0,
-        within=(basis_x.T @ basis_x, basis_y.T @ basis_y))
+    vals, axes, ys, reasons = _descend(
+        functools.partial(_commutator_form(space).lowest_planes,
+                          bx=basis_x, by=basis_y),
+        coeffs, SEARCH_ITERS, SEARCH_GRAD_TOL, 1.0)
     vals[np.array(reasons) == FAILED] = np.inf
-    return vals, frames[:, :n], frames[:, n:]
+    return vals, axes @ basis_x, ys
 
 
 # Unused: bench/spans.py traces it by name until the next benchmark revision.
@@ -206,8 +206,8 @@ def _find_pair(space: HomogeneousSpace, blocks: list, starts: int):
     Small blocks are decided exactly: a pair, or a lower bound of at least
     REJECT on the block's plane objective, which proves it empty.  The other
     blocks, and those the linear algebra leaves undecided, get `starts`
-    descents (one when both sides are lines), all drawn in one call from
-    rng_from(*key, 1).
+    descents (one when the x side is a line: its partner eigenproblem is the
+    whole search), all drawn in one call from rng_from(*key, 1).
     A pair is kept only when its bracket ratio is below ACCEPT.  Returns
     (x, y, k) for a pair from block k or None, how it was decided ("exact"
     when the pair came from linear algebra or every block was proved empty),
@@ -231,8 +231,8 @@ def _find_pair(space: HomogeneousSpace, blocks: list, starts: int):
             ratio = _bracket_ratio(space, x, y)
             if ratio < ACCEPT:
                 return (x, y, k), "exact", ratio, proved
-        n_starts = 1 if len(bx) == len(by) == 1 else starts
-        coeffs = rng_from(*key, 1).standard_normal((n_starts, len(bx) + len(by)))
+        n_starts = 1 if len(bx) == 1 else starts
+        coeffs = rng_from(*key, 1).standard_normal((n_starts, len(bx)))
         vals, xs, ys = _search_planes(space, bx, by, coeffs)
         best = min(best, float(vals.min()))
         for s in np.flatnonzero(vals < ACCEPT):

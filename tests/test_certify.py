@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 import homcurv.certify as certify_mod
+import homcurv.obstructions as obs
 from homcurv import catalog_build
 from homcurv.certify import GRAD_TOL, ZERO_TOL, certify
 from homcurv.curvature import NOISE_BAND, Curvature
@@ -110,19 +111,21 @@ def test_partner_is_the_lowest_plane_through_the_drawn_axis(label, params,
     cv = Curvature(space, metric(space))
     n = space.dim_p
     rng = np.random.default_rng(11)
-    # frames in the coordinates x′ = Lᵀx of G = LLᵀ, where the metric is Id;
+    # axes in the coordinates x′ = Lᵀx of G = LLᵀ, where the metric is Id;
     # cv.basis = L⁻¹ maps them back to p-coordinates
-    draws = rng.standard_normal((6, 2 * n))
-    draws[4, n:] = 3.0 * draws[4, :n]          # dependent
+    draws = rng.standard_normal((6, n))
+    draws[4] = 0.0
     draws[5, 0] = np.nan
-    frames = certify_mod._partner_frames(cv, draws)
-    # the drawn axes stay, and rows that must fail pass through as drawn
-    assert np.array_equal(frames[:, :n], draws[:, :n], equal_nan=True)
-    assert np.array_equal(frames[4:], draws[4:], equal_nan=True)
-    for x, y in zip(frames[:4, :n], frames[:4, n:]):
-        x = x / np.linalg.norm(x)
-        assert abs(x @ y) <= 1e-12 * np.linalg.norm(y)
+    axes, secs, _, partners = cv.lowest_planes(draws)
+    # the drawn axes stay, made unit, and zero or non-finite axes fail
+    np.testing.assert_allclose(
+        axes[:4], draws[:4] / np.linalg.norm(draws[:4], axis=1)[:, None],
+        rtol=0, atol=1e-15)
+    assert np.all(secs[4:] == np.inf)
+    for x, y, sec in zip(axes[:4], partners[:4], secs[:4]):
+        assert abs(x @ y) <= 1e-12 and abs(y @ y - 1.0) <= 1e-12
         best = cv.sectional(x @ cv.basis, y @ cv.basis)
+        assert abs(best - sec) <= 1e-12 * max(1.0, abs(sec))
         # the lowest eigenvalue of J_x on the complement of x
         q = scipy.linalg.null_space(x[None])
         lowest = scipy.linalg.eigh(q.T @ cv.jacobi_operator(x) @ q,
@@ -145,7 +148,8 @@ def test_partner_is_the_lowest_plane_through_the_drawn_axis(label, params,
 ])
 def test_partner_planes_start_at_the_minimum(label, params, metric, minimum):
     # on these metrics every axis has a partner plane at the global minimum,
-    # and it is a critical point, so no start needs a single line search
+    # so the lowest value through an axis is constant and no start needs a
+    # single line search
     space = catalog_build(label, **params)
     r = certify(space, metric(space), starts=16, max_iters=0)
     assert r.stop_reasons == ("converged",) * 16
@@ -153,23 +157,25 @@ def test_partner_planes_start_at_the_minimum(label, params, metric, minimum):
     assert abs(r.min_sectional - minimum) <= 1e-12
 
 
-class _DegenerateDraws:
-    """Stands in for certify's generator: on the rows `which` of the drawn
-    (starts, 2, n) block, the y draw is set to the x draw."""
+class _SetDraws:
+    """Stands in for certify's generator: the drawn (starts, n) block of
+    axes with the rows in `rows` replaced by the given values."""
 
-    def __init__(self, rng, which):
-        self.rng, self.which = rng, sorted(which)
+    def __init__(self, rng, rows):
+        self.rng, self.rows = rng, rows
 
     def standard_normal(self, size):
         draws = self.rng.standard_normal(size)
-        draws[self.which, 1] = draws[self.which, 0]
+        for i, axis in self.rows.items():
+            draws[i] = axis
         return draws
 
 
-def _degenerate_starts(monkeypatch, which):
-    """Make the starts in `which` draw degenerate frames."""
+def _set_draws(monkeypatch, rows):
+    """Make certify draw the given axes, or a zero or NaN to fail a start,
+    at the starts in `rows`."""
     monkeypatch.setattr(certify_mod, "rng_from",
-                        lambda *key: _DegenerateDraws(rng_from(*key), which))
+                        lambda *key: _SetDraws(rng_from(*key), rows))
 
 
 def test_certify_draws_every_start_from_one_generator(monkeypatch):
@@ -188,14 +194,51 @@ def test_certify_draws_every_start_from_one_generator(monkeypatch):
     space = catalog_build("berger7")
     for starts in (16, 4):
         r = certify(space, normal_metric(space), seed=5, starts=starts)
-        assert r.draw_scheme == DRAW_SCHEME == 2
-    assert len(keys) == 2 and keys[0] == keys[1]
+        assert r.draw_scheme == DRAW_SCHEME == 3
+    # one axis per start, from certify's own key
+    assert keys == [(5, 2), (5, 2)] and blocks[0].shape == (16, 7)
     # fewer starts draw a prefix of more
     np.testing.assert_array_equal(blocks[1], blocks[0][:4])
     # SeedSequence drops trailing zero words, so a key (5, 0) would draw the
     # stream of sample_metric(space, 5)
     assert not np.array_equal(rng_from(*keys[0]).standard_normal(8),
                               rng_from(5).standard_normal(8))
+
+
+def test_certify_and_the_witness_blocks_draw_from_their_own_keys(
+        monkeypatch):
+    # berger7's normal metric has one 7-dimensional eigenspace, so the
+    # min-eigenvalue witness searches its (E_0, p) block, keyed (seed,) like
+    # certify; the trailing words 1 and 2 keep the two streams apart
+    certify_keys, block_keys, blocks = [], [], []
+
+    def certify_rng(*key):
+        certify_keys.append(key)
+        return rng_from(*key)
+
+    class BlockRng:
+        def __init__(self, *key):
+            block_keys.append(key)
+            self.rng = rng_from(*key)
+
+        def standard_normal(self, size):
+            blocks.append(self.rng.standard_normal(size))
+            return blocks[-1]
+
+    monkeypatch.setattr(certify_mod, "rng_from", certify_rng)
+    monkeypatch.setattr(obs, "rng_from", BlockRng)
+    space = catalog_build("berger7")
+    g = normal_metric(space)
+    certify(space, g, seed=4, starts=2)
+    for draws in (8, 4):
+        assert not obs.min_eigenvalue_witness(space, g, seed=4,
+                                              draws=draws).found
+    assert certify_keys == [(4, 2)] and block_keys == [(4, 1), (4, 1)]
+    # one axis per start on E_0, and fewer starts draw a prefix of more
+    assert [b.shape for b in blocks] == [(8, 7), (4, 7)]
+    np.testing.assert_array_equal(blocks[1], blocks[0][:4])
+    assert not np.array_equal(rng_from(4, 2).standard_normal((4, 7)),
+                              blocks[1])
 
 
 def test_every_stop_reason_is_reachable(monkeypatch):
@@ -212,7 +255,7 @@ def test_every_stop_reason_is_reachable(monkeypatch):
     assert r.stop_reasons == ("max-iters",) * 4
     assert r.converged_starts == 0 and r.verdict == "inconclusive"
 
-    _degenerate_starts(monkeypatch, {1})
+    _set_draws(monkeypatch, {1: 0.0})
     r = certify(w11, g, starts=4)
     assert r.stop_reasons[1] == "failed" and r.start_minima[1] is None
     assert "failed" not in r.stop_reasons[:1] + r.stop_reasons[2:]
@@ -226,66 +269,64 @@ def test_every_stop_reason_is_reachable(monkeypatch):
 
 def test_starts_that_stop_in_different_rounds_keep_their_own_results(
         monkeypatch):
-    # start 1 fails at its degenerate frame, the even starts converge at their
-    # partner planes in round 0, start 3's second line search is made to fail,
-    # and starts 5 and 7 descend from their drawn frames to the last rounds;
-    # each start must report the value of its own frame, wherever its row sat
-    # in the shrinking batch
-    space = catalog_build("cpn", n=2)
+    # start 1 fails at its zero axis, the even starts converge in round 0 at
+    # coordinate axes, which are critical points of the lowest value through
+    # an axis (0.1, above the minimum), start 3's second line search is made
+    # to fail, and starts 5 and 7 descend from their drawn axes to the last
+    # rounds; each start must report the value of its own plane, wherever its
+    # row sat in the shrinking batch
+    space = catalog_build("w11")
     n = space.dim_p
-    _degenerate_starts(monkeypatch, {1})
-    partner, search = certify_mod._partner_frames, certify_mod._line_search
-    descend, batches, runs = certify_mod._descend, [], []
-
-    def even_partners(cv, draws):
-        even = (np.arange(len(draws)) % 2 == 0)[:, None]
-        return np.where(even, partner(cv, draws), draws)
+    _set_draws(monkeypatch, {1: 0.0, **{i: np.eye(n)[i] for i in (0, 2, 4, 6)}})
+    search, descend, batches, runs = (certify_mod._line_search,
+                                      certify_mod._descend, [], [])
 
     def failing_second_search(*args):
-        accepted, *trials = search(*args)
+        accepted, trial = search(*args)
         batches.append(len(accepted))
         if len(batches) == 2:
             accepted[0] = False              # the first running row, start 3
-        return accepted, *trials
+        return accepted, trial
 
-    def recorded(cv, draws, *args):
-        runs.append((cv, draws, args, descend(cv, draws, *args)))
+    def recorded(evaluate, coeffs, *args):
+        runs.append((evaluate, coeffs, args, descend(evaluate, coeffs, *args)))
         return runs[-1][3]
 
-    monkeypatch.setattr(certify_mod, "_partner_frames", even_partners)
     monkeypatch.setattr(certify_mod, "_line_search", failing_second_search)
     monkeypatch.setattr(certify_mod, "_descend", recorded)
-    r = certify(space, normal_metric(space), starts=8, max_iters=5)
+    g = normal_metric(space)
+    r = certify(space, g, starts=8, max_iters=5)
     assert r.stop_reasons[:5] == ("converged", "failed", "converged",
                                   "line-search", "converged")
     assert r.stop_reasons[6] == "converged" and r.start_minima[1] is None
     assert set(r.stop_reasons[5::2]) <= {"converged", "max-iters"}
     assert batches[:3] == [3, 3, 2]
-    [(cv, draws, args, (secs, frames, _))] = runs
+    [(evaluate, coeffs, args, (secs, axes, partners, _))] = runs
+    cv = Curvature(space, g)
     for i in (0, 2, 3, 4, 5, 6, 7):
         assert r.start_minima[i] == secs[i]
-        again = cv.sectional(frames[i, :n] @ cv.basis, frames[i, n:] @ cv.basis)
+        again = cv.sectional(axes[i] @ cv.basis, partners[i] @ cv.basis)
         assert abs(again - secs[i]) <= 1e-12 * max(1.0, abs(again)), i
-    # start 3 stopped above the minimum 1/2, and the round-0 starts report
-    # their own drawn axes
-    assert r.start_minima[3] > 0.5 + 1e-6
+    # start 3 stopped above the minimum 1/610, and the round-0 starts report
+    # their own drawn axes at 0.1
+    assert r.start_minima[3] > 1 / 610 + 1e-6
     for i in (0, 2, 4, 6):
-        x = draws[i, :n] / np.linalg.norm(draws[i, :n])
-        np.testing.assert_allclose(frames[i, :n], x, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(axes[i], np.eye(n)[i], rtol=0, atol=1e-15)
+        assert abs(secs[i] - 0.1) <= 1e-12
     # starts 5 and 7 descended alone reach the same value and plane, so no
     # row took over another's
     for i in (5, 7):
-        sec, frame, _ = descend(cv, draws[i:i + 1], *args)
+        sec, axis, partner, _ = descend(evaluate, coeffs[i:i + 1], *args)
         assert abs(sec[0] - secs[i]) <= 1e-9
-        planes = [np.outer(f[:n], f[:n]) + np.outer(f[n:], f[n:])
-                  for f in (frame[0], frames[i])]
+        planes = [np.outer(x, x) + np.outer(y, y)
+                  for x, y in ((axis[0], partner[0]), (axes[i], partners[i]))]
         np.testing.assert_allclose(*planes, rtol=0, atol=1e-6)
 
 
 def test_positive_needs_a_quorum_of_finished_starts(monkeypatch):
     # a start that ran out of iterations has not reached a critical point, so
     # it does not count; w11's starts need more than one step from their
-    # partner planes
+    # drawn axes
     w11 = catalog_build("w11")
     r = certify(w11, normal_metric(w11), starts=16, max_iters=1)
     assert r.stop_reasons == ("max-iters",) * 16
@@ -293,16 +334,16 @@ def test_positive_needs_a_quorum_of_finished_starts(monkeypatch):
     assert r.verdict == "inconclusive"
     space = catalog_build("berger7")
     g = normal_metric(space)
-    _degenerate_starts(monkeypatch, {0, 1})
+    _set_draws(monkeypatch, {0: 0.0, 1: np.nan})
     r = certify(space, g, starts=4)
     assert r.verdict == "positive"
     assert abs(r.min_sectional - 0.05) < 1e-9
-    _degenerate_starts(monkeypatch, {0, 1, 2})
+    _set_draws(monkeypatch, {0: 0.0, 1: np.nan, 2: 0.0})
     r = certify(space, g, starts=4)
     assert r.stop_reasons.count("failed") == 3
     assert r.verdict == "inconclusive"
-    # no drawn frame is usable: the partner eigenproblem gets an empty batch
-    _degenerate_starts(monkeypatch, {0, 1, 2, 3})
+    # no drawn axis is usable, and no start reports a value
+    _set_draws(monkeypatch, {0: 0.0, 1: np.nan, 2: 0.0, 3: np.nan})
     r = certify(space, g, starts=4)
     assert r.stop_reasons == ("failed",) * 4
     assert r.verdict == "inconclusive" and np.isnan(r.min_sectional)
@@ -323,9 +364,20 @@ def test_aloff_wallach_w10_flat_plane_is_found(t):
     assert again <= r.zero_threshold
 
 
+def test_aloff_wallach_w10_grid_reaches_a_flat_plane_everywhere():
+    # the W₁,₀ shrink at t = 0.3, 0.6 and 0.9, seeds 0-9: 16 starts find a
+    # flat plane on every pair
+    space = catalog_build("su3circle", p=1, q=0)
+    verdicts = [certify(space, np.diag([t] * 3 + [1.0] * 4), seed=seed,
+                        starts=16).verdict
+                for t in (0.3, 0.6, 0.9) for seed in range(10)]
+    assert verdicts == ["nonpositive-witness"] * 30
+
+
 def test_aloff_wallach_w10_is_never_positive():
-    # with fewer starts some seeds reach no flat plane; those starts run out
-    # of iterations, so the verdict is inconclusive, never positive
+    # a start that reaches no flat plane runs out of iterations rather than
+    # stopping on its value, so a seed without a witness reads inconclusive,
+    # never positive
     space = catalog_build("su3circle", p=1, q=0)
     g = np.diag([0.9] * 3 + [1.0] * 4)
     verdicts = {certify(space, g, seed=seed, starts=16).verdict
@@ -388,15 +440,15 @@ def test_tiny_metric_scale_keeps_the_frames():
 
 
 def _record_evaluations(monkeypatch, record):
-    """Make every frame evaluation call record(x, result) once per call."""
-    method = Curvature.orthonormal_gradient
+    """Make every axis evaluation call record(c, result) once per call."""
+    method = Curvature.lowest_planes
 
-    def recorded(self, x, y):
-        out = method(self, x, y)
-        record(x, out)
+    def recorded(self, c, bx=None, by=None):
+        out = method(self, c, bx, by)
+        record(c, out)
         return out
 
-    monkeypatch.setattr(Curvature, "orthonormal_gradient", recorded)
+    monkeypatch.setattr(Curvature, "lowest_planes", recorded)
 
 
 def _record_line_searches(monkeypatch, record):
@@ -404,34 +456,35 @@ def _record_line_searches(monkeypatch, record):
     search = certify_mod._line_search
 
     def recorded(*args):
-        out = search(*args)
-        record(out[0], out[2])
-        return out
+        accepted, trial = search(*args)
+        record(accepted, trial[1])
+        return accepted, trial
 
     monkeypatch.setattr(certify_mod, "_line_search", recorded)
 
 
 def test_positive_search_stays_within_an_evaluation_budget(monkeypatch):
-    # from the partner planes of their drawn axes, which are critical points
-    # at the minimum, these 64 starts evaluate only their start frames
+    # every axis of berger7's normal metric has its partner at the minimum,
+    # so the lowest value through an axis is constant: the 64 starts stop at
+    # their one batched evaluation
     rows = []
-    _record_evaluations(monkeypatch, lambda x, out: rows.append(len(x)))
+    _record_evaluations(monkeypatch, lambda c, out: rows.append(len(c)))
     space = catalog_build("berger7")
     r = certify(space, normal_metric(space), starts=64, max_iters=500)
     assert r.verdict == "positive"
-    assert sum(rows) <= 2500, sum(rows)
+    assert rows == [64]
 
 
 def test_most_steps_pass_the_nonmonotone_armijo_test(monkeypatch):
-    # every evaluation after the start frames' is one line-search trial;
+    # every evaluation after the start axes' is one line-search trial;
     # against the current value instead of the recent maximum this takes
-    # about 2.4 trials per round
+    # more trials per round
     calls = {"evaluations": 0, "rounds": 0}
-    _record_evaluations(monkeypatch, lambda x, out: calls.update(
+    _record_evaluations(monkeypatch, lambda c, out: calls.update(
         evaluations=calls["evaluations"] + 1))
     _record_line_searches(monkeypatch, lambda accepted, values: calls.update(
         rounds=calls["rounds"] + 1))
-    # w11's starts still descend from their partner planes
+    # w11's starts still descend from their drawn axes
     space = catalog_build("w11")
     r = certify(space, normal_metric(space), starts=16, max_iters=60)
     assert r.verdict == "positive"
@@ -442,8 +495,8 @@ def test_most_steps_pass_the_nonmonotone_armijo_test(monkeypatch):
 def test_each_start_reports_its_lowest_value(monkeypatch):
     # a nonmonotone descent can end above the lowest value it reached
     reached = []
-    _record_evaluations(monkeypatch, lambda x, out: (
-        None if reached else reached.append(out[0])))
+    _record_evaluations(monkeypatch, lambda c, out: (
+        None if reached else reached.append(out[1])))
     _record_line_searches(monkeypatch, lambda accepted, values: (
         reached.append(values[accepted])))
     space = catalog_build("stiefel")
@@ -462,47 +515,53 @@ def test_each_start_reports_its_lowest_value(monkeypatch):
 
 
 def test_dependent_trial_planes_are_rejected_not_raised():
+    # a partner is orthogonal to its axis, so no evaluated plane is
+    # dependent; what is left to reject is an axis that is zero or not
+    # finite, which evaluates to inf without raising or warning
     space = catalog_build("berger7")
-    cv = Curvature(space, normal_metric(space))
-    x, y = np.random.default_rng(3).standard_normal((2, 3, 7))
-    y[1] = -2.0 * x[1]
-    # the descent evaluates frames in the coordinates x′ = Lᵀx of G = LLᵀ
-    xn, yn = x @ cv.factor, y @ cv.factor
-    dependent = certify_mod._orthonormalize(xn, yn)[-1]
-    assert dependent.tolist() == [False, True, False]
-    _, vals, _ = certify_mod._evaluate(cv, np.concatenate([xn, yn], axis=1))
-    assert vals[1] == np.inf
+    cv = Curvature(space, sample_metric(space, seed=3))
+    c = np.random.default_rng(3).standard_normal((4, 7))
+    c[1], c[3, 2] = 0.0, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        axes, vals, _, partners = cv.lowest_planes(c)
+    assert vals[1] == vals[3] == np.inf
     for i in (0, 2):
-        assert vals[i] == pytest.approx(cv.sectional(x[i], y[i]), rel=1e-12)
+        x, y = axes[i] @ cv.basis, partners[i] @ cv.basis
+        # the frame is G-orthonormal, so its Gram determinant is 1
+        assert cv.gram(x, y) == pytest.approx(1.0, abs=1e-12)
+        assert vals[i] == pytest.approx(cv.sectional(x, y), rel=1e-12)
 
 
 def test_frame_evaluation_matches_sectional_gradient():
-    # the frame evaluation skips the Gram terms; at G-orthonormal frames it
-    # must agree with the quotient rule, also on planes inside NOISE_BAND
+    # the axis evaluation skips the Gram terms; at its G-orthonormal planes
+    # its value and gradient must agree with the quotient rule's value and x
+    # gradient on the axis coefficients, also on planes inside NOISE_BAND,
+    # with the partner in all of p, in the axis's own span or orthogonal to it
     space = catalog_build("wallach6")
     g = normal_metric(space)
     cv = Curvature(space, g)
     flat = certify(space, g, starts=1)
     rng = np.random.default_rng(5)
-    frames = rng.standard_normal((8, 12))
-    frames[::2] = (np.concatenate([flat.plane_x, flat.plane_y])
-                   + 1e-6 * rng.standard_normal((4, 12)))
-    q = np.linalg.qr(rng.standard_normal((6, 3)))[0]
-    within = (q @ q.T, np.eye(6))
-    v, sec, grad = certify_mod._evaluate(cv, frames, within)
-    x, y = v[:, :6], v[:, 6:]
-    wedge2 = np.vecdot(x, x) * np.vecdot(y, y) - np.vecdot(x, y) ** 2
-    band = NOISE_BAND * np.linalg.norm(cv.operator) * wedge2
-    assert np.all(np.abs(cv.numerator(x, y)[::2]) <= band[::2])
-    ref, rx, ry = cv.sectional_gradient(x, y)
-    np.testing.assert_allclose(sec, ref, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(grad, np.concatenate(
-        [rx @ within[0], ry @ within[1]], axis=1), rtol=1e-12, atol=1e-12)
+    flat_xy = np.array([flat.plane_x, flat.plane_y]) @ cv.factor
+    q = np.linalg.qr(np.vstack([flat_xy, rng.standard_normal((4, 6))]).T)[0].T
+    bx = q[:3]
+    coeffs = rng.standard_normal((8, 3))
+    coeffs[::2] = bx @ flat_xy[0] + 1e-6 * rng.standard_normal((4, 3))
+    band = NOISE_BAND * np.linalg.norm(cv.operator)
+    for by, near_flat in ((None, True), (bx, True), (q[3:], False)):
+        c, sec, grad, y = cv.lowest_planes(coeffs, bx, by)
+        x = c @ bx
+        assert np.all(np.abs(sec[::2]) <= band) == near_flat
+        ref, rx, _ = cv.sectional_gradient(x @ cv.basis, y @ cv.basis)
+        np.testing.assert_allclose(sec, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad, rx @ cv.basis.T @ bx.T,
+                                   rtol=1e-9, atol=1e-12)
 
 
 def test_failed_start_frames_raise_no_warning(monkeypatch):
-    # dependent start frames retire before their first step
-    _degenerate_starts(monkeypatch, {0, 2})
+    # zero and non-finite axes retire before their first step
+    _set_draws(monkeypatch, {0: 0.0, 2: np.nan})
     space = catalog_build("berger7")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

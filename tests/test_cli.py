@@ -206,7 +206,7 @@ def test_obstruct_fires_on_nonpositive_sample():
                    "--check", "min-eigenvalue", "--starts", "8")
     assert proc.returncode == 0
     doc = stdout_doc(proc)
-    assert doc["obstruction_found"] is True and doc["draw_scheme"] == 2
+    assert doc["obstruction_found"] is True and doc["draw_scheme"] == 3
     witness = doc["checks"]["min-eigenvalue"]
     assert witness["found"] is True
     assert witness["numerator"] <= 1e-10
@@ -387,7 +387,7 @@ def test_certify_reports_verdicts():
     assert doc["verdict"] == "positive"
     assert abs(doc["min_sectional"] - 0.05) < 1e-4
     assert doc["metric_provenance"] == "normal"
-    assert doc["draw_scheme"] == 2
+    assert doc["draw_scheme"] == 3
 
     # a conclusive nonpositive finding is still a successful run
     proc = run_cli("certify", "wallach6", "--starts", "8")
@@ -413,6 +413,20 @@ def test_output_flag_writes_file(tmp_path):
 def test_plane_search_documents_record_their_seed(command):
     assert stdout_doc(run_cli(*command))["seed"] == 0
     assert stdout_doc(run_cli(*command, "--seed", "9"))["seed"] == 9
+
+
+@pytest.mark.parametrize("command", [
+    ["obstruct", "berger7", "--check", "rank"],
+    ["obstruct", "berger7", "--check", "commuting", "--starts", "2"],
+    ["certify", "berger7", "--starts", "2"],
+])
+def test_negative_seed_is_a_usage_error(command):
+    # the flag is named, not the draw key it would have become, and a
+    # command that draws nothing does not record it either
+    proc = run_cli(*command, "--seed", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --seed: must be at least 0, got -1" in stderr_error(proc)
 
 
 def test_obstruct_rank_reads_no_metric():

@@ -9,7 +9,12 @@ from homcurv import bracket, catalog_build, coords_of
 from homcurv.curvature import NOISE_BAND, Curvature, b_plus, pair_tables
 from homcurv.curvature import four_term_numerator as batched_numerator
 from homcurv.isotypic import decompose
-from homcurv.metrics import diagonal_metric, normal_metric, sample_metric
+from homcurv.metrics import (
+    diagonal_metric,
+    metric_from_spec,
+    normal_metric,
+    sample_metric,
+)
 from homcurv.spaces import catalog_labels, listing_params
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -124,6 +129,36 @@ def test_jacobi_operator_is_the_numerator_in_y(label):
                                rtol=1e-12, atol=1e-12 * np.abs(jac[3]).max())
     # an empty batch gives no matrices
     assert cv.jacobi_operator(xn[:0]).shape == (0, space.dim_p, space.dim_p)
+
+
+@pytest.mark.parametrize("label,spec,moving", [
+    # berger7 is isotropy irreducible: every axis has a partner at the
+    # minimum, and the lowest value through an axis is constant
+    ("berger7", "sample:3", False),
+    ("w11", "normal", True),
+    ("sp3mix", "sample:2", True),
+])
+def test_lowest_plane_gradient_is_the_derivative_on_the_sphere(label, spec,
+                                                               moving):
+    # f(c), the lowest plane value through the axis c / |c|, against central
+    # differences along the great circles through unit axes
+    space = catalog_build(label, **listing_params(label))
+    cv = Curvature(space, metric_from_spec(space, spec))
+    rng = np.random.default_rng(23)
+    c, d = rng.standard_normal((2, 6, space.dim_p))
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    d -= np.vecdot(d, c)[:, None] * c
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    _, f, grad, _ = cv.lowest_planes(c)
+    scale = np.linalg.norm(cv.operator)
+    # f does not change along the axis, so its gradient is tangent
+    assert np.all(np.abs(np.vecdot(grad, c)) <= 1e-12 * scale)
+    h = 1e-5
+    slope = (cv.lowest_planes(c + h * d)[1]
+             - cv.lowest_planes(c - h * d)[1]) / (2 * h)
+    np.testing.assert_allclose(slope, np.vecdot(grad, d), rtol=0,
+                               atol=1e-6 * scale)
+    assert (np.abs(np.vecdot(grad, d)).max() > 1e-3 * scale) == moving
 
 
 @pytest.mark.parametrize("label,metric", [

@@ -7,6 +7,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import homcurv.curvature as curvature
 import homcurv.obstructions as obs
@@ -83,6 +84,36 @@ def test_two_dimensional_bottom_eigenspace_needs_no_search(monkeypatch):
     assert w.objective < 1e-16
 
 
+@pytest.mark.parametrize("shape", ["orthogonal", "same", "all of p"])
+def test_search_partner_is_the_lowest_plane_in_each_block_shape(shape):
+    # the witness blocks put the partner in a span orthogonal to the axis's,
+    # in the axis's own span, or in all of p; in each the partner is the
+    # lowest plane of the commutator form through the axis with y in that
+    # span, and the gradient is the derivative along the axis's sphere
+    space = catalog_build("sp3mix")
+    form, n = obs._commutator_form(space), space.dim_p
+    rng = np.random.default_rng(31)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0].T
+    bx = q[:4]
+    by = {"orthogonal": q[4:9], "same": bx, "all of p": np.eye(n)}[shape]
+    c, d = rng.standard_normal((2, 5, 4))
+    axes, vals, grad, ys = form.lowest_planes(c, bx, by)
+    for coef, val, y in zip(axes, vals, ys):
+        x = coef @ bx
+        assert np.linalg.norm(y - (y @ by.T) @ by) <= 1e-12
+        assert abs(y @ y - 1.0) <= 1e-12 and abs(x @ y) <= 1e-12
+        assert val == pytest.approx(_flat_ratio(space, x, y), rel=1e-10)
+        # the lowest eigenvalue of J_x on span by ∩ x⊥
+        rest = scipy.linalg.orth((by - np.outer(by @ x, x)).T).T
+        lowest = np.linalg.eigvalsh(rest @ form.jacobi_operator(x) @ rest.T)[0]
+        assert abs(val - lowest) <= 1e-12 * max(1.0, abs(lowest))
+    d -= np.vecdot(d, axes)[:, None] * axes
+    h = 1e-5
+    slope = (form.lowest_planes(axes + h * d, bx, by)[1]
+             - form.lowest_planes(axes - h * d, bx, by)[1]) / (2 * h)
+    np.testing.assert_allclose(slope, np.vecdot(grad, d), rtol=0, atol=1e-6)
+
+
 def test_min_eigenvalue_witness_absent_on_positive_space():
     space = catalog_build("berger7")
     w = min_eigenvalue_witness(space, normal_metric(space), draws=16)
@@ -127,13 +158,14 @@ def test_undecided_basis_vector_block_is_searched(monkeypatch):
     real = obs._search_planes
 
     def record(space_, bx, by, coeffs):
-        searched.append((bx.shape, by.shape))
+        searched.append((bx.shape, by.shape, coeffs.shape))
         return real(space_, bx, by, coeffs)
 
     monkeypatch.setattr(obs, "_search_planes", record)
     w = min_eigenvalue_witness(space, g, draws=4)
     n = space.dim_p
-    assert searched == [((1, n), (n - 1, n))]
+    # the axis is v itself, so one start's partner eigenproblem is the search
+    assert searched == [((1, n), (n - 1, n), (1, 1))]
     assert not w.found and w.decided == "search"
 
 
