@@ -317,9 +317,14 @@ def run_one(name: str) -> CriterionResult:
     return CriterionResult(name, bool(passed), detail, elapsed, budget)
 
 
-def run_all(only: list[str] | None = None):
-    """Run matching criteria, yielding results as they finish."""
-    for name, _, _ in CRITERIA:
-        if only and not any(tok in name for tok in only):
-            continue
-        yield run_one(name)
+def run_all(only: str | None = None):
+    """Run in registry order, yielding results as they finish, the criteria
+    whose names contain a comma separated token of `only` (all when none);
+    raises ValueError, before any criterion runs, if no criterion matches."""
+    tokens = [t for t in (only or "").split(",") if t]
+    names = [n for n in criterion_names()
+             if not tokens or any(t in n for t in tokens)]
+    if not names:
+        raise ValueError(f"no acceptance criteria match {only!r}; "
+                         f"known: {', '.join(criterion_names())}")
+    return map(run_one, names)

@@ -52,7 +52,7 @@ DISCLAIMER = ("a positive verdict means no nonpositively curved plane was "
 
 # The Armijo reference of a start is the largest of its last NONMONOTONE values.
 NONMONOTONE = 10
-GRAD_TOL = 1e-10     # the stop test |∇| <= GRAD_TOL / λ_max(G)
+GRAD_TOL = 1e-10     # the stop test |∇| <= GRAD_TOL · unit of every descent
 ZERO_TOL = 1e-9      # the zero threshold ZERO_TOL / λ_max(G)
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 40
@@ -108,8 +108,7 @@ def _line_search(evaluate, v: np.ndarray, grad: np.ndarray, ref: np.ndarray,
     return accepted, trial
 
 
-def _descend(evaluate, coeffs: np.ndarray, max_iters: int, grad_tol: float,
-             unit: float):
+def _descend(evaluate, coeffs: np.ndarray, max_iters: int, unit: float):
     """Minimize the lowest plane value through the axis of every row of
     `coeffs` in one batch.
 
@@ -131,7 +130,7 @@ def _descend(evaluate, coeffs: np.ndarray, max_iters: int, grad_tol: float,
     alone.  A step length carries the unit 1/curvature: `unit` is a
     curvature scale of the operator (certify passes 1/λ_max(G)), and under
     G -> λG the operator, the gradient and `unit` all scale by 1/λ.
-    So the stop test |∇| <= grad_tol · unit, the first step
+    So the stop test |∇| <= GRAD_TOL · unit, the first step
     1 / max(unit, |∇|) and the Barzilai-Borwein clamp [1e-12, 1e6] / unit
     read the same on every multiple of a metric.
     """
@@ -139,7 +138,7 @@ def _descend(evaluate, coeffs: np.ndarray, max_iters: int, grad_tol: float,
     gn2 = np.vecdot(grad, grad)
     failed = np.isinf(best) | ~np.isfinite(gn2)
     reason = np.full(len(best), _CODE[MAX_ITERS])
-    reason[gn2 <= (grad_tol * unit) ** 2] = _CODE[CONVERGED]
+    reason[gn2 <= (GRAD_TOL * unit) ** 2] = _CODE[CONVERGED]
     reason[failed] = _CODE[FAILED]
     run = np.flatnonzero(reason == _CODE[MAX_ITERS])
     if not run.size or not max_iters:
@@ -168,7 +167,7 @@ def _descend(evaluate, coeffs: np.ndarray, max_iters: int, grad_tol: float,
         lower = sec < best[run]
         up = run[lower]
         best[up], best_v[up], best_y[up] = sec[lower], v[lower], y[lower]
-        failed, converged = ~np.isfinite(gn2), gn2 <= (grad_tol * unit) ** 2
+        failed, converged = ~np.isfinite(gn2), gn2 <= (GRAD_TOL * unit) ** 2
         done = failed | converged
         if done.any():
             reason[run[done]] = np.where(failed, _CODE[FAILED],
@@ -200,8 +199,7 @@ def certify(space: HomogeneousSpace, metric: np.ndarray, seed: int = 0,
     n = space.dim_p
     draws = rng_from(seed, 2).standard_normal((starts, n))
     secs, axes, partners, reasons = _descend(
-        cv.lowest_planes, draws @ cv.factor, max_iters, GRAD_TOL,
-        1.0 / cv.max_eigenvalue)
+        cv.lowest_planes, draws @ cv.factor, max_iters, 1.0 / cv.max_eigenvalue)
     finals = tuple(None if r == FAILED else s
                    for s, r in zip(secs.tolist(), reasons))
     succeeded = [i for i, r in enumerate(reasons) if r != FAILED]

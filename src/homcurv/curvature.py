@@ -159,11 +159,24 @@ class PlaneForm:
                 -2.0 * (omega @ x[..., None])[..., 0])
 
     def _gram_terms(self, x: np.ndarray, y: np.ndarray, check: bool = False):
-        """The Gram entries xx, yy, xy and the Gram determinant; with `check`,
-        raises if any plane is numerically dependent."""
-        xx, yy, xy = np.vecdot(x, x), np.vecdot(y, y), np.vecdot(x, y)
-        d = xx * yy - xy * xy
-        if check and (d <= DEPENDENT_TOL * xx * yy).any():
+        """The Gram entries xx, yy, xy and the Gram determinant.  With `check`,
+        raises ValueError, with no floating-point warning, if any plane is
+        dependent or, first, where the test would misreport it: non-finite
+        vectors, an overflowed Gram determinant or an underflowed bound."""
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            xx, yy, xy = np.vecdot(x, x), np.vecdot(y, y), np.vecdot(x, y)
+            d, bound = xx * yy - xy * xy, DEPENDENT_TOL * xx * yy
+        # one test passes every plane that is independent at a normal bound
+        if check and not ((d > bound) & (bound >= np.finfo(float).tiny)).all():
+            if not np.isfinite(d).all():
+                if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                    raise ValueError("plane vectors have non-finite entries")
+                raise ValueError("the Gram determinant of the plane vectors "
+                                 "overflows; scale them down")
+            if (x.any(axis=-1) & y.any(axis=-1)
+                    & (bound < np.finfo(float).tiny)).any():
+                raise ValueError("the Gram determinant of the plane vectors "
+                                 "underflows; scale them up")
             raise ValueError("plane vectors are numerically dependent")
         return xx, yy, xy, d
 
@@ -254,9 +267,10 @@ class Curvature(PlaneForm):
         return self._gram_terms(x @ self.factor, y @ self.factor)[-1]
 
     def sectional(self, x: np.ndarray, y: np.ndarray):
-        """Numerator over Gram determinant; raises if any plane is dependent."""
+        """Numerator over Gram determinant, after `_gram_terms`' checks."""
         x, y = x @ self.factor, y @ self.factor
-        return self._numerator(x, y) / self._gram_terms(x, y, check=True)[-1]
+        d = self._gram_terms(x, y, check=True)[-1]
+        return self._numerator(x, y) / d
 
     def sectional_gradient(self, x: np.ndarray, y: np.ndarray):
         """Sectional value plus its gradients in both plane vectors."""

@@ -90,33 +90,27 @@ class ClusterError(RuntimeError):
     """Raised when a value list cannot be clustered unambiguously."""
 
 
-def cluster_values(values: np.ndarray) -> list[np.ndarray]:
+def cluster_values(values: np.ndarray,
+                   guard: float = 100.0) -> list[np.ndarray]:
     """Group sorted scalar values into clusters separated by clear gaps.
 
     Returns index arrays into `values`, cluster by cluster in ascending order.
     With scale = max(1, max |value|), a gap below 1e-8 scale joins a cluster
-    and one of at least 1e-6 scale splits; a gap between the two is ambiguous
-    and raises ClusterError instead of silently deciding.
+    and one of at least `guard` times that splits; a gap between the two is
+    ambiguous and raises ClusterError instead of silently deciding.  With
+    guard = 1 there is no such band, and every other gap splits.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return []
     order = np.argsort(values)
-    sv = values[order]
-    scale = max(1.0, float(np.max(np.abs(sv))))
-    lo = 1e-8 * scale
-    hi = 100.0 * lo
-    clusters: list[list[int]] = [[int(order[0])]]
-    for prev, idx in zip(sv[:-1], order[1:]):
-        cur = values[idx]
-        gap = cur - prev
-        if lo <= gap < hi:
-            raise ClusterError(
-                f"ambiguous cluster boundary: gap {gap:.3e} lies in the guard band "
-                f"[{lo:.3e}, {hi:.3e})")
-        if gap < lo:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return [np.array(c) for c in clusters]
+    gaps = np.diff(values[order])
+    lo = 1e-8 * max(1.0, float(np.max(np.abs(values))))
+    hi = guard * lo
+    band = gaps[(gaps >= lo) & (gaps < hi)]
+    if band.size:
+        raise ClusterError(
+            f"ambiguous cluster boundary: gap {band[0]:.3e} lies in the guard "
+            f"band [{lo:.3e}, {hi:.3e})")
+    return np.split(order, np.flatnonzero(gaps >= lo) + 1)
 

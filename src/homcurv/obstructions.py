@@ -44,8 +44,7 @@ from .spaces import HomogeneousSpace
 ACCEPT = 1e-9       # bracket ratio below this certifies a commuting pair
 REJECT = 1e-6       # objective above this means no pair at these starts
 NONPOS_TOL = 1e-10  # numerator bound for the min-eigenvalue plane
-SEARCH_ITERS = 300  # descent limits of the witness searches
-SEARCH_GRAD_TOL = 1e-10
+SEARCH_ITERS = 300  # descent limit of the witness searches
 
 # The quadratic forms whose zeros are the rank-one 2 x 2 coefficient blocks
 # (det, on row-major entries) and the decomposable elements of Λ²R⁴
@@ -108,7 +107,7 @@ def _search_planes(space: HomogeneousSpace, basis_x: np.ndarray,
     vals, axes, ys, reasons = _descend(
         functools.partial(_commutator_form(space).lowest_planes,
                           bx=basis_x, by=basis_y),
-        coeffs, SEARCH_ITERS, SEARCH_GRAD_TOL, 1.0)
+        coeffs, SEARCH_ITERS, 1.0)
     vals[np.array(reasons) == FAILED] = np.inf
     return vals, axes @ basis_x, ys
 
@@ -119,11 +118,11 @@ def minimize(*args, **kwargs):
 
 
 def _metric_eigenspaces(metric: np.ndarray):
+    """The metric's eigenvalue clusters and eigenspace rows, cut at every gap
+    that eigh resolves (the guard band serves `isotypic.decompose`)."""
     vals, vecs = np.linalg.eigh(metric)
-    spaces = []
-    for idx in cluster_values(vals):
-        spaces.append((float(np.mean(vals[idx])), vecs[:, idx].T.copy()))
-    return spaces
+    return [(float(np.mean(vals[idx])), vecs[:, idx].T.copy())
+            for idx in cluster_values(vals, guard=1.0)]
 
 
 def _pair_plane(w: np.ndarray, bx: np.ndarray, by: np.ndarray, same: bool):
@@ -287,7 +286,7 @@ def commuting_witness(space: HomogeneousSpace, metric: np.ndarray,
 
 
 def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
-                           seed: int = 0, draws: int = 64) -> PlaneWitness:
+                           seed: int = 0, starts: int = 64) -> PlaneWitness:
     """Witness plane built from the smallest metric eigenvalue.
 
     Finds x in the bottom eigenspace E_0 and z in p with [x, z] = 0, then
@@ -302,7 +301,7 @@ def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
               for k, v in enumerate(bottom)]
     if len(bottom) > 1:
         blocks.append((bottom, np.eye(space.dim_p), False, (seed,)))
-    pair, decided, objective, _ = _find_pair(space, blocks, draws)
+    pair, decided, objective, _ = _find_pair(space, blocks, starts)
     if pair is None:
         return PlaneWitness(
             kind="min-eigenvalue", found=False, objective=float(objective),

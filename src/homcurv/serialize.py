@@ -63,13 +63,19 @@ def document(kind: str, body: dict) -> dict:
     return doc
 
 
+def encode(doc: dict) -> str:
+    """A document's text, on stdout and in files alike: indented standard
+    JSON and a newline."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def atomic_write_json(path: str, doc: dict) -> None:
+    text = encode(doc)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".homcurv-", suffix=".json")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -7,6 +7,7 @@ tolerance or wall-clock budget.
 """
 import pytest
 
+from homcurv import acceptance
 from homcurv.acceptance import criterion_names, run_one
 
 
@@ -72,3 +73,21 @@ def test_11_positivity_searches(announce):
 
 def test_12_witness_certifier_agreement(announce):
     announce(run_one("12-witness-certifier-agreement"))
+
+
+def test_selection_keeps_registry_order(monkeypatch):
+    monkeypatch.setattr(acceptance, "run_one", lambda name: name)
+    assert list(acceptance.run_all("rank-parity,02,round")) == [
+        "02-round-sphere", "05-rank-parity"]
+    assert list(acceptance.run_all(None)) == criterion_names()
+    assert list(acceptance.run_all(",")) == criterion_names()
+
+
+def test_selection_without_a_match_fails_before_any_criterion_runs(
+        monkeypatch):
+    ran = []
+    monkeypatch.setattr(acceptance, "run_one", ran.append)
+    with pytest.raises(ValueError, match="^no acceptance criteria match "
+                       "'zzz,yyy'; known: 01-algebra-invariants, "):
+        acceptance.run_all("zzz,yyy")
+    assert ran == []

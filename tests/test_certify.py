@@ -232,7 +232,7 @@ def test_certify_and_the_witness_blocks_draw_from_their_own_keys(
     certify(space, g, seed=4, starts=2)
     for draws in (8, 4):
         assert not obs.min_eigenvalue_witness(space, g, seed=4,
-                                              draws=draws).found
+                                              starts=draws).found
     assert certify_keys == [(4, 2)] and block_keys == [(4, 1), (4, 1)]
     # one axis per start on E_0, and fewer starts draw a prefix of more
     assert [b.shape for b in blocks] == [(8, 7), (4, 7)]

@@ -352,6 +352,28 @@ def test_parser_is_built_once_and_left_unchanged(monkeypatch):
                                                fresh.stderr)
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog"],
+    ["build", "berger7"],
+    ["decompose", "berger7"],
+    ["metric", "berger7", "--metric", "sample:2"],
+    ["curvature", "berger7", "--metric", "sample:2", "--plane", "random:5"],
+    ["obstruct", "berger7", "--metric", "sample:2", "--starts", "2"],
+    ["certify", "berger7", "--starts", "4"],
+])
+def test_stdout_and_out_file_hold_the_same_bytes(tmp_path, monkeypatch, argv):
+    import types
+    import homcurv.certify
+    # a frozen clock gives both certify runs the same wall_time
+    monkeypatch.setattr(homcurv.certify, "time",
+                        types.SimpleNamespace(perf_counter=lambda: 0.0))
+    path = tmp_path / "doc.json"
+    code, out, err = _main_in_process(*argv)
+    assert code == 0 and out.startswith("{")
+    assert _main_in_process(*argv, "--out", str(path)) == (0, "", err)
+    assert path.read_text() == out
+
+
 def test_obstruct_samples_build_one_commutant_basis(monkeypatch):
     import homcurv.metrics
     real = homcurv.metrics.symmetric_commutant_basis
@@ -462,3 +484,4 @@ def test_suite_filter_runs_selected_criteria():
 def test_suite_filter_without_match_is_usage_error():
     proc = run_cli("suite", "--only", "zzz")
     assert proc.returncode == 2
+    assert stderr_error(proc).startswith("no acceptance criteria match 'zzz'")

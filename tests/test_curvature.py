@@ -1,5 +1,6 @@
 """Tests for the sectional curvature evaluator."""
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -410,3 +411,30 @@ def test_rejects_wrong_metric_shape():
     space = catalog_build("wallach6")
     with pytest.raises(ValueError):
         Curvature(space, np.eye(5))
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1e200, "Gram determinant of the plane vectors overflows; scale them down"),
+    (1e-200, "Gram determinant of the plane vectors underflows; scale them up"),
+    (np.nan, "plane vectors have non-finite entries"),
+])
+@pytest.mark.parametrize("planes", [None, 3])
+def test_sectional_rejects_planes_out_of_scale_without_warnings(
+        scale, message, planes):
+    # the dependence test would misreport such planes: an overflowed Gram
+    # determinant is not finite, and an underflowed bound rejects
+    # independent vectors
+    space = catalog_build("berger7")
+    cv = Curvature(space, np.eye(space.dim_p))
+    shape = (2, space.dim_p) if planes is None else (2, planes, space.dim_p)
+    x, y = np.random.default_rng(11).standard_normal(shape)
+    assert np.all(cv.sectional(x, y) > 0)
+    if planes is None:
+        x, y = scale * x, scale * y
+    else:
+        x[1], y[1] = scale * x[1], scale * y[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (cv.sectional, cv.sectional_gradient):
+            with pytest.raises(ValueError, match=message):
+                evaluate(x, y)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from homcurv import catalog_build
 from homcurv.isotypic import symmetric_commutant_basis
-from homcurv.numerics import kernel_and_gap, nullspace
+from homcurv.numerics import ClusterError, cluster_values, kernel_and_gap, nullspace
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -97,3 +97,16 @@ def test_kernel_matches_plain_svd_on_tall_matrices(rows, cols, rank):
     rng = np.random.default_rng(rows * cols)
     _assert_same_as_plain_svd(rng.standard_normal((rows, rank))
                               @ rng.standard_normal((rank, cols)))
+
+
+def test_an_empty_guard_band_splits_every_resolved_gap():
+    values = np.array([2.0, 1e-7, 0.0, 2.0 + 1e-9])
+    with pytest.raises(ClusterError, match="guard band"):
+        cluster_values(values)
+    clusters = cluster_values(values, guard=1.0)
+    assert [c.tolist() for c in clusters] == [[2], [1], [0, 3]]
+    # outside the band both read the same
+    clear = np.array([0.0, 1e-5, 1e-9])
+    assert ([c.tolist() for c in cluster_values(clear)]
+            == [c.tolist() for c in cluster_values(clear, guard=1.0)]
+            == [[0, 2], [1]])

@@ -14,6 +14,7 @@ import homcurv.obstructions as obs
 from homcurv import bracket, build_algebra, catalog_build, make_space
 from homcurv.curvature import Curvature
 from homcurv.metrics import normal_metric, sample_metric, validate_metric
+from homcurv.numerics import ClusterError, cluster_values
 from homcurv.obstructions import (
     ACCEPT,
     REJECT,
@@ -116,14 +117,14 @@ def test_search_partner_is_the_lowest_plane_in_each_block_shape(shape):
 
 def test_min_eigenvalue_witness_absent_on_positive_space():
     space = catalog_build("berger7")
-    w = min_eigenvalue_witness(space, normal_metric(space), draws=16)
+    w = min_eigenvalue_witness(space, normal_metric(space), starts=16)
     assert not w.found
     assert w.objective > 1e-6
 
 
 @pytest.mark.parametrize("witness, name, count", [
     (commuting_witness, "starts", 0),
-    (min_eigenvalue_witness, "draws", -3),
+    (min_eigenvalue_witness, "starts", -3),
 ])
 def test_witnesses_reject_counts_below_one(witness, name, count):
     # berger7's normal metric has one 7-dimensional eigenspace to search
@@ -162,7 +163,7 @@ def test_undecided_basis_vector_block_is_searched(monkeypatch):
         return real(space_, bx, by, coeffs)
 
     monkeypatch.setattr(obs, "_search_planes", record)
-    w = min_eigenvalue_witness(space, g, draws=4)
+    w = min_eigenvalue_witness(space, g, starts=4)
     n = space.dim_p
     # the axis is v itself, so one start's partner eigenproblem is the search
     assert searched == [((1, n), (n - 1, n), (1, 1))]
@@ -177,7 +178,7 @@ def test_overlapping_block_is_searched_not_decided():
     space = catalog_build("cpn", n=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = min_eigenvalue_witness(space, normal_metric(space), draws=8)
+        w = min_eigenvalue_witness(space, normal_metric(space), starts=8)
     assert not w.found and w.decided == "search"
 
 
@@ -190,7 +191,7 @@ def test_witnesses_build_no_curvature_operator(monkeypatch):
     space = catalog_build("berger7")
     g = normal_metric(space)
     assert not commuting_witness(space, g, starts=2).found
-    assert not min_eigenvalue_witness(space, g, draws=2).found
+    assert not min_eigenvalue_witness(space, g, starts=2).found
     space = catalog_build("stiefel")
     g = sample_metric(space, seed=3)
     assert min_eigenvalue_witness(space, g, seed=3).found
@@ -277,7 +278,7 @@ NO_SCIPY_OPTIMIZE = textwrap.dedent("""
     assert w.decided == "search", w.message
     assert "scipy.optimize" not in sys.modules, "loaded by a searched block"
     # the 7-dimensional bottom eigenspace has no basis vector with a partner
-    w = min_eigenvalue_witness(space, normal_metric(space), draws=2)
+    w = min_eigenvalue_witness(space, normal_metric(space), starts=2)
     assert w.decided == "search", w.message
     assert "scipy.optimize" not in sys.modules, "loaded by the fallback"
 """)
@@ -477,3 +478,19 @@ def test_guard_band_block_is_searched(monkeypatch):
     bx, by = searched[0]
     assert abs(abs(bx[0] @ x) - 1.0) < 1e-9
     assert abs(abs(by[0] @ y_t) - 1.0) < 1e-9
+
+
+def test_witnesses_decide_a_near_coincident_eigenvalue_gap():
+    # this draw has eigenvalues 3.41231396 and 3.41231587 (x2): a gap of
+    # 1.9e-6, inside the guard band where decompose's clustering refuses to
+    # decide, but one that eigh resolves, so the witnesses split there
+    space = catalog_build("sp2circle", p=3, q=1)
+    g = sample_metric(space, seed=2709016)
+    with pytest.raises(ClusterError, match="gap 1.914e-06"):
+        cluster_values(np.linalg.eigvalsh(g))
+    w = commuting_witness(space, g)
+    assert not w.found and w.decided == "search"
+    assert "13 of 14 pairs proved empty" in w.message
+    w = min_eigenvalue_witness(space, g)
+    assert w.found and w.decided == "exact"
+    assert Curvature(space, g).sectional(w.x, w.y) < -0.1
