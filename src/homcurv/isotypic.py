@@ -64,26 +64,23 @@ def symmetric_commutant_basis(space: HomogeneousSpace) -> np.ndarray:
     matrices on p commuting with every isotropy action."""
     n = space.dim_p
     sym = symmetric_basis(n)
-    acts = isotropy_actions(space)
-    if not acts:
+    if not space.dim_h:
         return sym
     # commutator of every action with every symmetric basis element,
     # flattened to one row per basis element: (n_sym, n_acts*n*n)
-    a = np.array(acts)[:, None]
+    a = isotropy_actions(space)[:, None]
     mat = (a @ sym - sym @ a).swapaxes(0, 1).reshape(len(sym), -1)
     coeffs = nullspace(mat.T)                # rows: coefficient vectors
     return np.einsum("ck,kij->cij", coeffs, sym)
 
 
-def _hom_dimension(di: int, dj: int,
-                   acts_i: list[np.ndarray], acts_j: list[np.ndarray]) -> int:
-    """Dimension of the space of intertwiners T with A_j T = T A_i for all v."""
-    blocks = []
-    for ai, aj in zip(acts_i, acts_j):
-        blocks.append(np.kron(aj, np.eye(di)) - np.kron(np.eye(dj), ai.T))
-    if not blocks:
-        return di * dj
-    return nullspace(np.vstack(blocks)).shape[0]
+def _hom_dimension(acts_i: np.ndarray, acts_j: np.ndarray) -> int:
+    """Dimension of the space of intertwiners T with A_j T = T A_i for all
+    v, given the (dim h, d_i, d_i) and (dim h, d_j, d_j) stacks of actions."""
+    di, dj = acts_i.shape[-1], acts_j.shape[-1]
+    blocks = (np.kron(acts_j, np.eye(di))
+              - np.kron(np.eye(dj), acts_i.swapaxes(1, 2)))
+    return nullspace(blocks.reshape(-1, di * dj)).shape[0]
 
 
 def _h_is_abelian(space: HomogeneousSpace) -> bool:
@@ -127,15 +124,14 @@ def decompose(space: HomogeneousSpace) -> IsotypicDecomposition:
         summands.append(vecs[:, idx].T.copy())
     # invariance of each eigenspace under every isotropy action
     for u in summands:
-        for a in acts:
-            img = a @ u.T
-            leak = np.linalg.norm(img - u.T @ (u @ img))
-            if leak > 1e-8:
-                raise ClusterError(
-                    f"an eigenspace of the separating element is not "
-                    f"invariant under the isotropy action (leak {leak:.3e})")
+        img = acts @ u.T
+        leak = np.linalg.norm(img - u.T @ (u @ img), axis=(1, 2))
+        if np.any(leak > 1e-8):
+            raise ClusterError(
+                f"an eigenspace of the separating element is not invariant "
+                f"under the isotropy action (leak {leak.max():.3e})")
 
-    restricted = [[u @ a @ u.T for a in acts] for u in summands]
+    restricted = [u @ acts @ u.T for u in summands]
     dims = [u.shape[0] for u in summands]
     m = len(summands)
     classes: list[list[int]] = []
@@ -145,7 +141,7 @@ def decompose(space: HomogeneousSpace) -> IsotypicDecomposition:
             j = cls[0]
             if dims[i] != dims[j]:
                 continue
-            if _hom_dimension(dims[i], dims[j], restricted[i], restricted[j]) > 0:
+            if _hom_dimension(restricted[i], restricted[j]) > 0:
                 cls.append(i)
                 placed = True
                 break
@@ -156,7 +152,7 @@ def decompose(space: HomogeneousSpace) -> IsotypicDecomposition:
     components = []
     for cls in classes:
         j = cls[0]
-        end_dim = _hom_dimension(dims[j], dims[j], restricted[j], restricted[j])
+        end_dim = _hom_dimension(restricted[j], restricted[j])
         if end_dim not in _END_DIM_TO_TYPE:
             raise ClusterError(
                 f"summand endomorphism dimension {end_dim} is not 1, 2 or 4")

@@ -124,9 +124,7 @@ def conjugate_metric(space: HomogeneousSpace, metric: np.ndarray,
 def equivariance_residual(space: HomogeneousSpace, metric: np.ndarray) -> float:
     """Largest commutator norm of the metric with an isotropy action."""
     acts = isotropy_actions(space)
-    if not acts:
-        return 0.0
-    return max(float(np.max(np.abs(metric @ a - a @ metric))) for a in acts)
+    return float(np.max(np.abs(metric @ acts - acts @ metric), initial=0.0))
 
 
 def check_symmetric_positive(metric: np.ndarray) -> tuple[float, np.ndarray]:

@@ -17,7 +17,7 @@ from .algebra import algebra_from_name
 from .certify import CertifyReport
 from .isotypic import IsotypicDecomposition
 from .obstructions import PlaneWitness, RankParity, Sp2Symmetrization
-from .spaces import HomogeneousSpace, _validate_space
+from .spaces import HomogeneousSpace
 
 SCHEMA_VERSION = 1
 
@@ -140,7 +140,7 @@ def space_from_document(doc: dict) -> HomogeneousSpace:
             raise ValueError(f"{field}: {exc}") from None
         return arr.reshape(0, ambient.dim) if arr.size == 0 else arr
 
-    space = HomogeneousSpace(
+    return HomogeneousSpace(
         label=doc["label"],
         params=tuple((k, int(v)) for k, v in doc.get("params", {}).items()),
         ambient=ambient,
@@ -150,8 +150,6 @@ def space_from_document(doc: dict) -> HomogeneousSpace:
                          else array("torus_generator")),
         notes=doc.get("notes", ""),
     )
-    _validate_space(space)
-    return space
 
 
 def decomposition_document(dec: IsotypicDecomposition) -> dict:

@@ -29,6 +29,10 @@ from .algebra import (
 from .numerics import nullspace, orthonormalize_rows
 
 
+class CatalogError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class HomogeneousSpace:
     label: str
@@ -38,6 +42,47 @@ class HomogeneousSpace:
     p_basis: np.ndarray          # (dim_p, dim_k) orthonormal rows
     torus_generator: np.ndarray | None  # ambient coords of the integer-weight circle
     notes: str = ""
+
+    def __post_init__(self):
+        """Raise CatalogError unless every array is finite, dim h + dim p =
+        dim k, h is a subalgebra acting by skew maps on an invariant p, the
+        rows of both bases are orthonormal and the torus generator lies in
+        h.  The 1e-12 bounds keep each isotropy action skew and inside p."""
+        hb, pb, alg = self.h_basis, self.p_basis, self.ambient
+        for name, arr in vars(self).items():
+            if isinstance(arr, np.ndarray) and not np.isfinite(arr).all():
+                raise CatalogError(f"{self.label}: {name} has a non-finite entry")
+        if self.dim_h + self.dim_p != alg.dim:
+            raise CatalogError(f"{self.label}: dim h + dim p != dim k")
+        if self.dim_h:
+            # closure of h: [h, h] stays inside h (and a NaN leak fails the test)
+            hb_br = bracket(alg, hb[:, None], hb[None])
+            leak = np.max(np.abs(hb_br - (hb_br @ hb.T) @ hb))
+            if not leak <= 1e-9:
+                raise CatalogError(f"{self.label}: h is not closed under the "
+                                   f"bracket (leak {leak:.3e})")
+            # invariance of p: [h, p] stays inside p
+            hp_br = bracket(alg, hb[:, None], pb[None])
+            leak = np.max(np.abs(hp_br @ hb.T))
+            if not leak <= 1e-12:
+                raise CatalogError(f"{self.label}: p is not invariant under h "
+                                   f"(leak {leak:.3e})")
+            act = hp_br @ pb.T
+            skew = np.max(np.abs(act + act.swapaxes(1, 2)))
+            if not skew <= 1e-12:
+                raise CatalogError(f"{self.label}: h does not act on p by skew "
+                                   f"maps (skewness {skew:.3e})")
+        rows = np.vstack([hb, pb])
+        error = np.max(np.abs(rows @ rows.T - np.eye(alg.dim)))
+        if not error <= 1e-12:
+            raise CatalogError(f"{self.label}: the rows of h_basis and p_basis "
+                               f"are not orthonormal (error {error:.3e})")
+        tg = self.torus_generator
+        if tg is not None:
+            distance = np.linalg.norm(tg - hb.T @ (hb @ tg))
+            if not distance <= 1e-12 * np.linalg.norm(tg):
+                raise CatalogError(f"{self.label}: torus_generator does not "
+                                   f"lie in h (distance {distance:.3e})")
 
     @property
     def dim_h(self) -> int:
@@ -52,10 +97,6 @@ class HomogeneousSpace:
 
     def p_embed(self, c: np.ndarray) -> np.ndarray:
         return self.p_basis.T @ c
-
-
-class CatalogError(ValueError):
-    pass
 
 
 def make_space(label: str, ambient: LieAlgebra, h_matrices: list[np.ndarray],
@@ -77,7 +118,7 @@ def make_space(label: str, ambient: LieAlgebra, h_matrices: list[np.ndarray],
     tg = None
     if torus_matrix is not None:
         tg = coords_of(ambient, torus_matrix)
-    space = HomogeneousSpace(
+    return HomogeneousSpace(
         label=label,
         params=tuple(sorted((params or {}).items())),
         ambient=ambient,
@@ -86,51 +127,16 @@ def make_space(label: str, ambient: LieAlgebra, h_matrices: list[np.ndarray],
         torus_generator=tg,
         notes=notes,
     )
-    _validate_space(space)
-    return space
 
 
-def _validate_space(space: HomogeneousSpace) -> None:
-    hb, pb = space.h_basis, space.p_basis
-    for name, arr in vars(space).items():
-        if isinstance(arr, np.ndarray) and not np.isfinite(arr).all():
-            raise CatalogError(f"{space.label}: {name} has a non-finite entry")
-    if space.dim_h + space.dim_p != space.ambient.dim:
-        raise CatalogError(f"{space.label}: dim h + dim p != dim k")
-    alg = space.ambient
-    if space.dim_h:
-        # closure of h: [h, h] stays inside h (and a NaN leak fails the test)
-        hb_br = bracket(alg, hb[:, None], hb[None])
-        leak = np.max(np.abs(hb_br - (hb_br @ hb.T) @ hb))
-        if not leak <= 1e-9:
-            raise CatalogError(f"{space.label}: h is not closed under the "
-                               f"bracket (leak {leak:.3e})")
-        # invariance of p: [h, p] stays inside p
-        leak = np.max(np.abs(bracket(alg, hb[:, None], pb[None]) @ hb.T))
-        if not leak <= 1e-9:
-            raise CatalogError(f"{space.label}: p is not invariant under h "
-                               f"(leak {leak:.3e})")
-
-
-def isotropy_actions(space: HomogeneousSpace) -> list[np.ndarray]:
-    """Matrices of ad_v restricted to p, one per h-basis vector.
-
-    Each matrix is skew (the action is orthogonal for Q) and the off-p leakage
-    is checked to vanish.
-    """
-    acts = []
-    for v in space.h_basis:
-        ad = ad_operator(space.ambient, v)
-        full = ad @ space.p_basis.T           # columns: [v, p_j] in ambient coords
-        act = space.p_basis @ full
-        leak = np.linalg.norm(full - space.p_basis.T @ act)
-        if leak > 1e-10:
-            raise RuntimeError(f"{space.label}: isotropy action leaks off p ({leak:.3e})")
-        skew = np.linalg.norm(act + act.T)
-        if skew > 1e-10:
-            raise RuntimeError(f"{space.label}: isotropy action not skew ({skew:.3e})")
-        acts.append(act)
-    return acts
+def isotropy_actions(space: HomogeneousSpace) -> np.ndarray:
+    """The skew matrices of ad_v on p, one per h-basis vector, as a
+    (dim h, dim p, dim p) stack.  Each is its own product: a batched
+    ad_operator (a GEMM, not a GEMV) would change the last bits, and with
+    them every `sample:K` draw."""
+    p = space.p_basis
+    acts = [p @ (ad_operator(space.ambient, v) @ p.T) for v in space.h_basis]
+    return np.array(acts).reshape(space.dim_h, space.dim_p, space.dim_p)
 
 
 def fixed_subalgebra_in_h(space: HomogeneousSpace, g: GroupElement) -> np.ndarray:

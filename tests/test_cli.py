@@ -126,6 +126,23 @@ def test_malformed_document_is_a_load_error(tmp_path):
                                          "structure_constants")
 
 
+@pytest.mark.parametrize("command", ["certify", "decompose"])
+def test_document_with_non_orthonormal_basis_is_a_load_error(tmp_path, command):
+    # loaded, a doubled p_basis would give certify a false witness and
+    # decompose an internal error
+    path = tmp_path / "doubled.json"
+    assert run_cli("build", "berger7", "--out", str(path)).returncode == 0
+    doc = json.loads(path.read_text())
+    doc["p_basis"] = [[2 * x for x in row] for row in doc["p_basis"]]
+    path.write_text(json.dumps(doc))
+    proc = run_cli(command, str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    error = stderr_error(proc)
+    assert error.startswith(f"cannot load space from {path}: ")
+    assert "rows of h_basis and p_basis are not orthonormal" in error
+
+
 def test_missing_required_param_is_rejected():
     proc = run_cli("build", "sp2circle")
     assert proc.returncode == 2

@@ -129,7 +129,7 @@ def _einsum_commutant_basis(space):
     from homcurv.spaces import isotropy_actions
     sym = symmetric_basis(space.dim_p)
     acts = isotropy_actions(space)
-    if not acts:
+    if not len(acts):
         return sym
     rows = [(np.einsum("ij,kjl->kil", a, sym)
              - np.einsum("kij,jl->kil", sym, a)).reshape(len(sym), -1)

@@ -165,6 +165,32 @@ def test_malformed_document_is_a_value_error_naming_the_field(corrupt, field):
         space_from_document(doc)
 
 
+def _double_p_basis(doc):
+    doc["p_basis"] = [[2 * x for x in row] for row in doc["p_basis"]]
+
+
+def _mix_p_rows(doc):
+    doc["p_basis"][0] = [a + b for a, b in zip(*doc["p_basis"][:2])]
+
+
+def _torus_off_h(doc):
+    doc["torus_generator"] = [a + b for a, b in
+                              zip(doc["torus_generator"], doc["p_basis"][0])]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_double_p_basis, "rows of h_basis and p_basis are not orthonormal"),
+    (_mix_p_rows, "rows of h_basis and p_basis are not orthonormal"),
+    (_torus_off_h, "torus_generator does not lie in h"),
+])
+def test_document_whose_bases_do_not_fit_is_rejected(corrupt, message):
+    # loaded, each would give a false certify verdict or an internal error
+    doc = through_json(space_document(catalog_build("berger7")))
+    corrupt(doc)
+    with pytest.raises(ValueError, match=message):
+        space_from_document(doc)
+
+
 def test_non_finite_torus_generator_is_rejected():
     doc = through_json(space_document(catalog_build("berger7")))
     doc["torus_generator"][0] = float("inf")

@@ -7,6 +7,7 @@ import pytest
 
 from homcurv import (
     CatalogError,
+    ad_operator,
     bracket,
     build_algebra,
     catalog_build,
@@ -17,7 +18,7 @@ from homcurv import (
     isotropy_actions,
     make_space,
 )
-from homcurv.spaces import _validate_space
+from homcurv.spaces import listing_params
 
 # label -> (example params, dim k, dim h, dim p)
 EXPECTED_DIMS = {
@@ -203,7 +204,7 @@ def test_space_built_in_code_with_non_finite_bases_is_rejected(field):
     bad = getattr(space, field).copy()
     bad.flat[0] = np.nan
     with pytest.raises(CatalogError, match=f"{field} has a non-finite entry"):
-        _validate_space(dataclasses.replace(space, **{field: bad}))
+        dataclasses.replace(space, **{field: bad})
 
 
 def test_leak_that_is_not_a_number_fails_validation():
@@ -212,7 +213,51 @@ def test_leak_that_is_not_a_number_fails_validation():
     space = catalog_build("berger7")
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(CatalogError, match="not closed"):
-        _validate_space(dataclasses.replace(space, h_basis=1e200 * space.h_basis))
+        dataclasses.replace(space, h_basis=1e200 * space.h_basis)
+
+
+def _non_skew_ambient(space):
+    # adds a symmetric map of p to ad of the first h vector: h stays a
+    # subalgebra and p stays invariant, but h no longer acts by skew maps
+    sym = np.random.default_rng(0).standard_normal((space.dim_p,) * 2)
+    sym = space.p_basis.T @ (sym + sym.T) @ space.p_basis
+    consts = space.ambient.structure_constants + 1e-6 * np.einsum(
+        "i,jk->ijk", space.h_basis[0], sym)
+    return dataclasses.replace(space.ambient, structure_constants=consts)
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda s: {"p_basis": 2 * s.p_basis}, "not orthonormal"),
+    (lambda s: {"torus_generator": s.torus_generator + s.p_basis[0]},
+     "torus_generator does not lie in h"),
+    (lambda s: {"ambient": _non_skew_ambient(s)}, "skew maps"),
+])
+def test_space_built_in_code_with_invalid_bases_is_rejected(corrupt, message):
+    space = catalog_build("berger7")
+    with pytest.raises(CatalogError, match=message):
+        dataclasses.replace(space, **corrupt(space))
+
+
+def _builds():
+    """Each n-family at n = 1-4 (its listing n among them), and every other
+    entry at its listing parameters."""
+    for label in catalog_labels():
+        if list(listing_params(label)) == ["n"]:
+            yield from ((label, {"n": n}) for n in range(1, 5))
+        else:
+            yield label, listing_params(label)
+
+
+@pytest.mark.parametrize("label,params", list(_builds()))
+def test_isotropy_actions_are_the_per_vector_products_bit_for_bit(label, params):
+    # a batched ad_operator changes the last bits, and with them every
+    # sample:K metric draw
+    space = catalog_build(label, **params)
+    p = space.p_basis
+    reference = np.zeros((space.dim_h, space.dim_p, space.dim_p))
+    for i, v in enumerate(space.h_basis):
+        reference[i] = p @ (ad_operator(space.ambient, v) @ p.T)
+    assert np.array_equal(isotropy_actions(space), reference)
 
 
 def test_make_space_rejects_non_finite_seed():
