@@ -24,6 +24,5 @@ from .spaces import (
     catalog_labels,
     catalog_build,
     catalog_entries,
-    isotropy_actions,
     fixed_subalgebra_in_h,
 )

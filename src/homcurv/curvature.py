@@ -35,7 +35,7 @@ import functools
 import numpy as np
 
 from .algebra import ad_operator, bracket
-from .metrics import check_symmetric_positive
+from .metrics import validate_metric
 from .spaces import HomogeneousSpace
 
 DEPENDENT_TOL = 1e-14   # Gram determinant relative to |x|²|y|²
@@ -246,10 +246,7 @@ class Curvature(PlaneForm):
 
     def __init__(self, space: HomogeneousSpace, metric: np.ndarray):
         metric = np.asarray(metric, dtype=float)
-        if metric.shape != (space.dim_p, space.dim_p):
-            raise ValueError(f"metric shape {metric.shape} does not match "
-                             f"dim p = {space.dim_p}")
-        self.max_eigenvalue = float(check_symmetric_positive(metric)[1][-1])
+        self.max_eigenvalue = validate_metric(space, metric)["max_eigenvalue"]
         self.space, self.gm = space, metric
         self.factor = np.linalg.cholesky(metric)
         self.basis = np.linalg.inv(self.factor)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ad_operator, bracket
+from .algebra import bracket
 from .numerics import ClusterError, cluster_values, nullspace, rng_from, symmetric_basis
-from .spaces import HomogeneousSpace, isotropy_actions
+from .spaces import HomogeneousSpace
 
 _END_DIM_TO_TYPE = {1: "real", 2: "complex", 4: "quaternionic"}
 
@@ -68,7 +68,7 @@ def symmetric_commutant_basis(space: HomogeneousSpace) -> np.ndarray:
         return sym
     # commutator of every action with every symmetric basis element,
     # flattened to one row per basis element: (n_sym, n_acts*n*n)
-    a = isotropy_actions(space)[:, None]
+    a = space.isotropy_actions[:, None]
     mat = (a @ sym - sym @ a).swapaxes(0, 1).reshape(len(sym), -1)
     coeffs = nullspace(mat.T)                # rows: coefficient vectors
     return np.einsum("ck,kij->cij", coeffs, sym)
@@ -92,8 +92,8 @@ def _h_is_abelian(space: HomogeneousSpace) -> bool:
 
 
 def _component_weight(space: HomogeneousSpace, basis_p: np.ndarray) -> int:
-    ad = ad_operator(space.ambient, space.torus_generator)
-    act = space.p_basis @ ad @ space.p_basis.T
+    # the generator lies in h: its action is its combination of the stack
+    act = np.tensordot(space.h_basis @ space.torus_generator, space.isotropy_actions, 1)
     restr = basis_p @ act @ basis_p.T
     imag = np.abs(np.linalg.eigvals(restr).imag)
     wi = int(round(np.max(imag)))
@@ -113,7 +113,7 @@ def decompose(space: HomogeneousSpace) -> IsotypicDecomposition:
     components fail the commutant-dimension cross-check.
     """
     n = space.dim_p
-    acts = isotropy_actions(space)
+    acts = space.isotropy_actions
     comm = symmetric_commutant_basis(space)
     draw = np.einsum("c,cij->ij", rng_from(0).standard_normal(len(comm)), comm)
     vals, vecs = np.linalg.eigh(draw)

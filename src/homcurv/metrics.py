@@ -18,7 +18,7 @@ from .isotypic import (
     symmetric_commutant_basis,
 )
 from .numerics import rng_from
-from .spaces import HomogeneousSpace, isotropy_actions
+from .spaces import HomogeneousSpace
 
 
 def normal_metric(space: HomogeneousSpace) -> np.ndarray:
@@ -123,38 +123,32 @@ def conjugate_metric(space: HomogeneousSpace, metric: np.ndarray,
 
 def equivariance_residual(space: HomogeneousSpace, metric: np.ndarray) -> float:
     """Largest commutator norm of the metric with an isotropy action."""
-    acts = isotropy_actions(space)
+    acts = space.isotropy_actions
     return float(np.max(np.abs(metric @ acts - acts @ metric), initial=0.0))
 
 
-def check_symmetric_positive(metric: np.ndarray) -> tuple[float, np.ndarray]:
-    """Symmetry residual and eigenvalues; raises ValueError unless the matrix
-    is finite, symmetric (to 1e-9) and positive definite."""
-    if not np.isfinite(metric).all():
-        raise ValueError("metric has non-finite entries")
-    sym = float(np.max(np.abs(metric - metric.T)))
-    eigs = np.linalg.eigvalsh((metric + metric.T) / 2)
-    if sym > 1e-9:
-        raise ValueError(f"metric is not symmetric (residual {sym:.3e})")
-    if eigs[0] <= 0:
-        raise ValueError(f"metric is not positive definite "
-                         f"(smallest eigenvalue {eigs[0]:.3e})")
-    return sym, eigs
-
-
 def validate_metric(space: HomogeneousSpace, metric: np.ndarray) -> dict:
-    """Residual report; raises ValueError if the matrix is not an invariant metric."""
+    """Residual report; raises ValueError unless the matrix is finite, symmetric,
+    positive definite and commutes with every isotropy action, the residuals
+    bounded by 1e-9·‖G‖₂ so that G and λG pass or fail together."""
     metric = np.asarray(metric, dtype=float)
     if metric.shape != (space.dim_p, space.dim_p):
         raise ValueError(f"metric shape {metric.shape} does not match "
                          f"dim p = {space.dim_p}")
-    sym, eigs = check_symmetric_positive(metric)
+    if not np.isfinite(metric).all():
+        raise ValueError("metric has non-finite entries")
+    sym = float(np.max(np.abs(metric - metric.T)))
+    eigs = np.linalg.eigvalsh((metric + metric.T) / 2)
+    bound = 1e-9 * max(-eigs[0], eigs[-1])
+    if sym > bound:
+        raise ValueError(f"metric is not symmetric (residual {sym:.3e})")
+    if eigs[0] <= 0:
+        raise ValueError(f"metric is not positive definite "
+                         f"(smallest eigenvalue {eigs[0]:.3e})")
     equiv = equivariance_residual(space, metric)
-    report = {"symmetry": sym, "equivariance": equiv,
-              "min_eigenvalue": float(eigs[0]), "max_eigenvalue": float(eigs[-1]),
-              "condition_number": float(eigs[-1] / eigs[0])}
-    if equiv > 1e-9:
+    if equiv > bound:
         raise ValueError(f"metric does not commute with the isotropy action "
                          f"(residual {equiv:.3e})")
-    return report
-
+    return {"symmetry": sym, "equivariance": equiv,
+            "min_eigenvalue": float(eigs[0]), "max_eigenvalue": float(eigs[-1]),
+            "condition_number": float(eigs[-1] / eigs[0])}

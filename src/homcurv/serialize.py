@@ -114,7 +114,8 @@ def space_from_document(doc: dict) -> HomogeneousSpace:
     """Rebuild a space from its document, bit for bit.
 
     The ambient algebra is reconstructed from its name; stored structure
-    constants, if present, must match the rebuilt ones exactly.
+    constants and derived dimensions, if present, must match the rebuilt
+    ones exactly.
     """
     if doc.get("kind") != "space":
         raise ValueError(f"expected a space document, got kind={doc.get('kind')!r}")
@@ -140,7 +141,7 @@ def space_from_document(doc: dict) -> HomogeneousSpace:
             raise ValueError(f"{field}: {exc}") from None
         return arr.reshape(0, ambient.dim) if arr.size == 0 else arr
 
-    return HomogeneousSpace(
+    space = HomogeneousSpace(
         label=doc["label"],
         params=tuple((k, int(v)) for k, v in doc.get("params", {}).items()),
         ambient=ambient,
@@ -150,6 +151,12 @@ def space_from_document(doc: dict) -> HomogeneousSpace:
                          else array("torus_generator")),
         notes=doc.get("notes", ""),
     )
+    derived = {"dim_k": ambient.dim, "dim_h": space.dim_h, "dim_p": space.dim_p,
+               "has_torus_generator": space.torus_generator is not None}
+    for field, value in derived.items():
+        if field in doc and doc[field] != value:
+            raise ValueError(f"{field} is {doc[field]!r}, but the bases give {value!r}")
+    return space
 
 
 def decomposition_document(dec: IsotypicDecomposition) -> dict:

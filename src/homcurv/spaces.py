@@ -11,7 +11,7 @@ planes for every invariant metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,46 +43,57 @@ class HomogeneousSpace:
     torus_generator: np.ndarray | None  # ambient coords of the integer-weight circle
     notes: str = ""
 
+    # the checked (dim h, dim p, dim p) stack of ad_v on p, v in h_basis; read-only
+    isotropy_actions: np.ndarray = field(init=False, compare=False, repr=False)
+
     def __post_init__(self):
-        """Raise CatalogError unless every array is finite, dim h + dim p =
-        dim k, h is a subalgebra acting by skew maps on an invariant p, the
-        rows of both bases are orthonormal and the torus generator lies in
-        h.  The 1e-12 bounds keep each isotropy action skew and inside p."""
-        hb, pb, alg = self.h_basis, self.p_basis, self.ambient
+        """Raise CatalogError unless the bases are 2-d and the torus generator
+        a vector, each with rows of dim k = dim h + dim p, all finite, h is a
+        subalgebra acting by skew maps on an invariant p, the rows of both
+        bases are orthonormal and the torus generator lies in h.  The 1e-12
+        bounds keep each isotropy action skew and inside p."""
+        hb, pb, tg, alg = self.h_basis, self.p_basis, self.torus_generator, self.ambient
+        for name, arr, ndim in (("h_basis", hb, 2), ("p_basis", pb, 2),
+                                ("torus_generator", tg, 1)):
+            if arr is not None and (arr.ndim != ndim or arr.shape[-1] != alg.dim):
+                raise CatalogError(f"{self.label}: {name} has shape {arr.shape}, "
+                                   f"not {ndim}-d with rows of dim k = {alg.dim}")
         for name, arr in vars(self).items():
             if isinstance(arr, np.ndarray) and not np.isfinite(arr).all():
                 raise CatalogError(f"{self.label}: {name} has a non-finite entry")
         if self.dim_h + self.dim_p != alg.dim:
             raise CatalogError(f"{self.label}: dim h + dim p != dim k")
-        if self.dim_h:
-            # closure of h: [h, h] stays inside h (and a NaN leak fails the test)
-            hb_br = bracket(alg, hb[:, None], hb[None])
-            leak = np.max(np.abs(hb_br - (hb_br @ hb.T) @ hb))
-            if not leak <= 1e-9:
-                raise CatalogError(f"{self.label}: h is not closed under the "
-                                   f"bracket (leak {leak:.3e})")
-            # invariance of p: [h, p] stays inside p
-            hp_br = bracket(alg, hb[:, None], pb[None])
-            leak = np.max(np.abs(hp_br @ hb.T))
-            if not leak <= 1e-12:
-                raise CatalogError(f"{self.label}: p is not invariant under h "
-                                   f"(leak {leak:.3e})")
-            act = hp_br @ pb.T
-            skew = np.max(np.abs(act + act.swapaxes(1, 2)))
-            if not skew <= 1e-12:
-                raise CatalogError(f"{self.label}: h does not act on p by skew "
-                                   f"maps (skewness {skew:.3e})")
+        # closure of h: [h, h] stays inside h (and a NaN leak fails the test)
+        hb_br = bracket(alg, hb[:, None], hb[None])
+        leak = np.max(np.abs(hb_br - (hb_br @ hb.T) @ hb), initial=0.0)
+        if not leak <= 1e-9:
+            raise CatalogError(f"{self.label}: h is not closed under the "
+                               f"bracket (leak {leak:.3e})")
+        # invariance of p: [h, p] stays inside p.  [v, p] is one product per
+        # v in h_basis: a batched ad_operator (a GEMM, not a GEMV) would change
+        # the last bits of the actions, and with them every `sample:K` draw
+        hp = np.array([ad_operator(alg, v) @ pb.T for v in hb]).reshape(-1, *pb.T.shape)
+        leak = np.max(np.abs(hb @ hp), initial=0.0)
+        if not leak <= 1e-12:
+            raise CatalogError(f"{self.label}: p is not invariant under h "
+                               f"(leak {leak:.3e})")
+        acts = pb @ hp
+        skew = np.max(np.abs(acts + acts.swapaxes(1, 2)), initial=0.0)
+        if not skew <= 1e-12:
+            raise CatalogError(f"{self.label}: h does not act on p by skew "
+                               f"maps (skewness {skew:.3e})")
         rows = np.vstack([hb, pb])
         error = np.max(np.abs(rows @ rows.T - np.eye(alg.dim)))
         if not error <= 1e-12:
             raise CatalogError(f"{self.label}: the rows of h_basis and p_basis "
                                f"are not orthonormal (error {error:.3e})")
-        tg = self.torus_generator
         if tg is not None:
             distance = np.linalg.norm(tg - hb.T @ (hb @ tg))
             if not distance <= 1e-12 * np.linalg.norm(tg):
                 raise CatalogError(f"{self.label}: torus_generator does not "
                                    f"lie in h (distance {distance:.3e})")
+        acts.flags.writeable = False
+        object.__setattr__(self, "isotropy_actions", acts)
 
     @property
     def dim_h(self) -> int:
@@ -127,16 +138,6 @@ def make_space(label: str, ambient: LieAlgebra, h_matrices: list[np.ndarray],
         torus_generator=tg,
         notes=notes,
     )
-
-
-def isotropy_actions(space: HomogeneousSpace) -> np.ndarray:
-    """The skew matrices of ad_v on p, one per h-basis vector, as a
-    (dim h, dim p, dim p) stack.  Each is its own product: a batched
-    ad_operator (a GEMM, not a GEMV) would change the last bits, and with
-    them every `sample:K` draw."""
-    p = space.p_basis
-    acts = [p @ (ad_operator(space.ambient, v) @ p.T) for v in space.h_basis]
-    return np.array(acts).reshape(space.dim_h, space.dim_p, space.dim_p)
 
 
 def fixed_subalgebra_in_h(space: HomogeneousSpace, g: GroupElement) -> np.ndarray:

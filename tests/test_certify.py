@@ -93,6 +93,14 @@ def test_rejects_parameters_that_void_the_verdict(bad):
         certify(space, normal_metric(space), **{"starts": 2, **bad})
 
 
+def test_a_metric_that_no_isotropy_action_commutes_with_is_rejected():
+    # diag(1, ..., 7) is symmetric and positive definite but not invariant:
+    # a verdict on it would not be about an invariant metric of berger7
+    space = catalog_build("berger7")
+    with pytest.raises(ValueError, match="does not commute"):
+        certify(space, np.diag(np.arange(1.0, 8.0)), starts=2)
+
+
 def test_a_space_without_planes_is_rejected():
     # dim p = 1: there is no plane, so no verdict and no minimum to report
     space = catalog_build("sphere-so", n=1)

@@ -316,6 +316,40 @@ def test_non_finite_metric_files_are_usage_errors(tmp_path, command, bad):
     assert "non-finite" in stderr_error(proc)
 
 
+@pytest.mark.parametrize("command", [
+    ["curvature", "--plane", "random:1"],
+    ["certify", "--starts", "2"],
+])
+def test_non_invariant_metric_files_are_usage_errors(tmp_path, command):
+    # 1e-10·diag(1, ..., 7) is symmetric and positive definite, but commutes
+    # with no isotropy action of berger7; its residual is small only in
+    # absolute terms
+    matrix = [[1e-10 * (i + 1) if i == j else 0.0 for j in range(7)]
+              for i in range(7)]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    proc = run_cli(command[0], "berger7", "--metric", f"file:{path}",
+                   *command[1:])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    error = stderr_error(proc)
+    assert str(path) in error and "does not commute" in error
+
+
+def test_a_large_multiple_of_a_metric_file_certifies_as_the_metric(tmp_path):
+    # the metric test is relative to the scale, and curvature scales as 1/λ
+    matrix = stdout_doc(run_cli("metric", "berger7", "--metric",
+                                "sample:0"))["matrix"]
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"matrix": [[1e8 * x for x in row]
+                                           for row in matrix]}))
+    unit, large = (stdout_doc(run_cli("certify", "berger7", "--metric", spec,
+                                      "--starts", "4"))
+                   for spec in ("sample:0", f"file:{path}"))
+    assert unit["verdict"] == large["verdict"] == "positive"
+    assert abs(1e8 * large["min_sectional"] - unit["min_sectional"]) <= 1e-9
+
+
 def test_obstruct_quiet_on_positive_space():
     proc = run_cli("obstruct", "berger7", "--check", "commuting",
                    "--starts", "4")

@@ -90,7 +90,6 @@ def test_summands_partition_components():
 
 
 def test_commutant_basis_commutes_and_is_orthonormal():
-    from homcurv.spaces import isotropy_actions
     space = catalog_build("stiefel")
     comm = symmetric_commutant_basis(space)
     assert len(comm) == 15
@@ -98,7 +97,7 @@ def test_commutant_basis_commutes_and_is_orthonormal():
     assert np.max(np.abs(gram - np.eye(len(comm)))) < 1e-10
     for b in comm:
         assert np.max(np.abs(b - b.T)) < 1e-12
-        for a in isotropy_actions(space):
+        for a in space.isotropy_actions:
             assert np.max(np.abs(a @ b - b @ a)) < 1e-10
 
 
@@ -126,9 +125,8 @@ def test_decomposition_seed_independent(monkeypatch):
 def _einsum_commutant_basis(space):
     """The commutant basis with one pair of einsum commutators per action."""
     from homcurv.numerics import nullspace, symmetric_basis
-    from homcurv.spaces import isotropy_actions
     sym = symmetric_basis(space.dim_p)
-    acts = isotropy_actions(space)
+    acts = space.isotropy_actions
     if not len(acts):
         return sym
     rows = [(np.einsum("ij,kjl->kil", a, sym)

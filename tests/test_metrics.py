@@ -121,6 +121,22 @@ def test_validate_rejects_non_finite_entries(bad):
         validate_metric(space, g)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e8, 1e12])
+def test_the_metric_test_is_relative_to_the_scale(scale):
+    # G and λG pass or fail together, in validate_metric and in Curvature,
+    # which runs it
+    for label in ("berger7", "stiefel", "sp3mix"):
+        space = catalog_build(label)
+        for seed in range(5):
+            g = scale * sample_metric(space, seed=seed)
+            validate_metric(space, g)
+            Curvature(space, g)
+    space = catalog_build("berger7")
+    for check in (validate_metric, Curvature):
+        with pytest.raises(ValueError, match="does not commute"):
+            check(space, scale * np.diag(np.arange(1.0, 8.0)))
+
+
 def test_equivariance_residual_flags_generic_symmetric():
     space = catalog_build("sp2circle", p=3, q=1)
     rng = np.random.default_rng(3)

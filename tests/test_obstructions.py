@@ -426,7 +426,10 @@ def test_exact_pair_inside_one_eigenspace(monkeypatch, dim):
     assert w.found and w.decided == "exact"
     assert w.message.endswith("(0, 0)")
     assert _flat_ratio(space, w.x, w.y) < ACCEPT
-    assert abs(Curvature(space, g).numerator(w.x, w.y)) < 1e-12
+    # g has prescribed eigenspaces and is not invariant, so Curvature refuses
+    # it; the four bracket terms are the numerator that it would evaluate here
+    num = curvature.four_term_numerator(space, g, np.linalg.inv(g), w.x, w.y)
+    assert abs(num) < 1e-12
 
 
 def test_exact_pair_from_a_singular_det_form(monkeypatch):

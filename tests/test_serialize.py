@@ -178,10 +178,34 @@ def _torus_off_h(doc):
                               zip(doc["torus_generator"], doc["p_basis"][0])]
 
 
+def _shorten_rows(field):
+    def corrupt(doc):
+        doc[field] = [row[:-1] for row in doc[field]]
+    return corrupt
+
+
+def _set(field, value):
+    def corrupt(doc):
+        doc[field] = value(doc) if callable(value) else value
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (_double_p_basis, "rows of h_basis and p_basis are not orthonormal"),
     (_mix_p_rows, "rows of h_basis and p_basis are not orthonormal"),
     (_torus_off_h, "torus_generator does not lie in h"),
+    (_shorten_rows("p_basis"), r"p_basis has shape \(7, 9\)"),
+    (_shorten_rows("h_basis"), r"h_basis has shape \(3, 9\)"),
+    (_set("p_basis", lambda d: [d["p_basis"]]), r"p_basis has shape \(1, 7, 10\)"),
+    (_set("torus_generator", lambda d: d["torus_generator"][:-1]),
+     r"torus_generator has shape \(9,\)"),
+    (_set("torus_generator", lambda d: [d["torus_generator"]]),
+     r"torus_generator has shape \(1, 10\)"),
+    (_set("dim_k", 11), "dim_k is 11, but the bases give 10"),
+    (_set("dim_h", 4), "dim_h is 4, but the bases give 3"),
+    (_set("dim_p", 99), "dim_p is 99, but the bases give 7"),
+    (_set("has_torus_generator", False),
+     "has_torus_generator is False, but the bases give True"),
 ])
 def test_document_whose_bases_do_not_fit_is_rejected(corrupt, message):
     # loaded, each would give a false certify verdict or an internal error

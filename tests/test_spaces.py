@@ -15,7 +15,6 @@ from homcurv import (
     catalog_labels,
     fixed_subalgebra_in_h,
     group_element,
-    isotropy_actions,
     make_space,
 )
 from homcurv.spaces import listing_params
@@ -147,7 +146,7 @@ def test_projection_helpers():
 
 def test_isotropy_actions_skew_and_commute_for_torus():
     space = catalog_build("wallach6")
-    acts = isotropy_actions(space)
+    acts = space.isotropy_actions
     assert len(acts) == 2
     for a in acts:
         assert a.shape == (6, 6)
@@ -159,7 +158,7 @@ def test_isotropy_actions_skew_and_commute_for_torus():
 
 def test_isotropy_actions_represent_bracket():
     space = catalog_build("berger7")
-    acts = isotropy_actions(space)
+    acts = space.isotropy_actions
     hb = space.h_basis
     alg = space.ambient
     for i in range(3):
@@ -257,7 +256,22 @@ def test_isotropy_actions_are_the_per_vector_products_bit_for_bit(label, params)
     reference = np.zeros((space.dim_h, space.dim_p, space.dim_p))
     for i, v in enumerate(space.h_basis):
         reference[i] = p @ (ad_operator(space.ambient, v) @ p.T)
-    assert np.array_equal(isotropy_actions(space), reference)
+    assert np.array_equal(space.isotropy_actions, reference)
+
+
+def test_isotropy_actions_are_read_only_and_rebuilt_by_replace():
+    space = catalog_build("berger7")
+    acts = space.isotropy_actions
+    with pytest.raises(ValueError, match="read-only"):
+        acts[0, 0, 1] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        space.isotropy_actions = acts.copy()
+    # a rotated p basis gives the rotated actions, not the stored ones
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((7, 7)))
+    rotated = dataclasses.replace(space, p_basis=q.T @ space.p_basis)
+    assert not rotated.isotropy_actions.flags.writeable
+    assert np.allclose(rotated.isotropy_actions, q.T @ acts @ q, atol=1e-12)
+    assert not np.allclose(rotated.isotropy_actions, acts, atol=1e-3)
 
 
 def test_make_space_rejects_non_finite_seed():
