@@ -47,10 +47,8 @@ from .serialize import (
     encode,
     load_json,
     metric_document,
-    parity_document,
     space_document,
     space_from_document,
-    symmetrization_document,
     witness_document,
 )
 from .spaces import CatalogError, catalog_build, catalog_entries, catalog_labels
@@ -106,9 +104,11 @@ def _resolve_plane(space, spec: str) -> tuple[np.ndarray, np.ndarray]:
         return rng.standard_normal(space.dim_p), rng.standard_normal(space.dim_p)
     try:
         doc = load_json(spec)
+        if not isinstance(doc, dict):
+            raise ValueError("a plane is a JSON object with x and y")
         x = np.asarray(doc["x"], dtype=float)
         y = np.asarray(doc["y"], dtype=float)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot read plane from {spec}: {exc}")
     if x.shape != (space.dim_p,) or y.shape != (space.dim_p,):
         raise CliError(f"plane vectors must have length {space.dim_p}")
@@ -207,7 +207,7 @@ def _metric_check(check: str, space, metric, seed: int, starts: int):
         s = symmetrize_sp2_31(space, metric)
     except (ValueError, RuntimeError) as exc:
         raise CliError(str(exc))
-    return symmetrization_document(s), False
+    return document("symmetrization", s), False
 
 
 def _cmd_obstruct(args) -> int:
@@ -224,7 +224,7 @@ def _cmd_obstruct(args) -> int:
     parity_ok = True
     if "rank" in checks:
         rp = rank_parity_check(space)
-        body["rank"] = parity_document(rp)
+        body["rank"] = document("rank-parity", rp)
         parity_ok = rp.parity_consistent
     fired = False
     if args.samples is None:
@@ -294,9 +294,7 @@ def _cmd_suite(args) -> int:
     print(f"{len(results) - failed}/{len(results)} acceptance criteria passed")
     if args.output:
         atomic_write_json(args.output, document("suite", {
-            "criteria": [{"name": r.name, "passed": r.passed,
-                          "detail": r.detail, "elapsed": r.elapsed,
-                          "budget": r.budget} for r in results],
+            "criteria": results,
             "passed": len(results) - failed,
             "failed": failed,
         }))

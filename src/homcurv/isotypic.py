@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import bracket
 from .numerics import ClusterError, cluster_values, nullspace, rng_from, symmetric_basis
 from .spaces import HomogeneousSpace
 
@@ -83,14 +82,6 @@ def _hom_dimension(acts_i: np.ndarray, acts_j: np.ndarray) -> int:
     return nullspace(blocks.reshape(-1, di * dj)).shape[0]
 
 
-def _h_is_abelian(space: HomogeneousSpace) -> bool:
-    hb = space.h_basis
-    if hb.shape[0] < 2:
-        return True
-    br = bracket(space.ambient, hb[:, None], hb[None])
-    return float(np.max(np.abs(br))) < 1e-10
-
-
 def _component_weight(space: HomogeneousSpace, basis_p: np.ndarray) -> int:
     # the generator lies in h: its action is its combination of the stack
     act = np.tensordot(space.h_basis @ space.torus_generator, space.isotropy_actions, 1)
@@ -148,7 +139,7 @@ def decompose(space: HomogeneousSpace) -> IsotypicDecomposition:
         if not placed:
             classes.append([i])
 
-    use_weights = space.torus_generator is not None and _h_is_abelian(space)
+    use_weights = space.torus_generator is not None and space.h_is_abelian
     components = []
     for cls in classes:
         j = cls[0]

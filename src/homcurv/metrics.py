@@ -34,8 +34,8 @@ def diagonal_metric(decomposition: IsotypicDecomposition,
         raise ValueError(
             f"need one scale per component "
             f"({len(decomposition.components)}), got {scales.shape}")
-    if np.any(scales <= 0):
-        raise ValueError("metric scales must be positive")
+    if not np.all(np.isfinite(scales) & (scales > 0)):
+        raise ValueError("metric scales must be positive and finite")
     g = np.zeros((decomposition.dim_p, decomposition.dim_p))
     for t, comp in zip(scales, decomposition.components):
         g += t * comp.basis.T @ comp.basis

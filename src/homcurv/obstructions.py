@@ -77,9 +77,9 @@ class RankParity:
 @dataclass(frozen=True)
 class Sp2Symmetrization:
     psi: float                   # rotation angle of the conjugating element
-    metric: np.ndarray           # conjugated metric, fixed by the involution
     residual: float              # commutator norm with the involution action
     det_involution: float        # determinant of the involution action on p
+    metric: np.ndarray           # conjugated metric, fixed by the involution
 
 
 def _commutator_form(space: HomogeneousSpace) -> PlaneForm:
@@ -386,5 +386,5 @@ def symmetrize_sp2_31(space: HomogeneousSpace,
     psi, residual, conj = best
     if residual > 1e-8:
         raise RuntimeError(f"symmetrization failed (residual {residual:.3e})")
-    return Sp2Symmetrization(psi=psi, metric=conj, residual=residual,
-                             det_involution=det_a)
+    return Sp2Symmetrization(psi=psi, residual=residual, det_involution=det_a,
+                             metric=conj)

@@ -1,12 +1,18 @@
 """JSON documents for spaces, decompositions, witnesses and reports.
 
-Every document carries schema_version 1 and a kind tag.  Writes are atomic:
-the payload lands in a sibling temporary file first and is moved into place
-with os.replace.  Documents are standard JSON: a witness objective or certify
-minimum that is not finite is null, and any other non-finite float an error.
+Every document carries schema_version 1 and a kind tag.  A report's document
+is the report: after the two tags come its dataclass fields in declaration
+order, so a new field reaches the document with no second edit.  The
+exceptions are the certify document's `metric_provenance`, right after
+`label`, the witness's `kind`, renamed `witness_kind`, and a certify minimum
+or witness objective that is not finite, which is null; any other non-finite
+float is an error.  Spaces, decompositions and metrics are not reports and
+have builders of their own.  Writes are atomic: the payload lands in a
+sibling temporary file first and is moved into place with os.replace.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -16,7 +22,7 @@ import numpy as np
 from .algebra import algebra_from_name
 from .certify import CertifyReport
 from .isotypic import IsotypicDecomposition
-from .obstructions import PlaneWitness, RankParity, Sp2Symmetrization
+from .obstructions import PlaneWitness
 from .spaces import HomogeneousSpace
 
 SCHEMA_VERSION = 1
@@ -46,6 +52,11 @@ def dense_from_triplets(shape: tuple[int, ...], rows: list[list]) -> np.ndarray:
 
 
 def jsonable(obj):
+    """Plain JSON values: a dataclass becomes its fields in declaration
+    order, arrays and tuples lists, and numpy scalars Python numbers."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -57,7 +68,8 @@ def jsonable(obj):
     return obj
 
 
-def document(kind: str, body: dict) -> dict:
+def document(kind: str, body) -> dict:
+    """The two tags, then the body: a dict, or a report dataclass."""
     doc = {"schema_version": SCHEMA_VERSION, "kind": kind}
     doc.update(jsonable(body))
     return doc
@@ -115,24 +127,34 @@ def space_from_document(doc: dict) -> HomogeneousSpace:
 
     The ambient algebra is reconstructed from its name; stored structure
     constants and derived dimensions, if present, must match the rebuilt
-    ones exactly.
+    ones exactly.  Raises ValueError naming the first malformed field.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("a space document is a JSON object")
     if doc.get("kind") != "space":
         raise ValueError(f"expected a space document, got kind={doc.get('kind')!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     if "h_basis" not in doc or "p_basis" not in doc:
         raise ValueError("document lacks bases; regenerate it with `homcurv build`")
-    ambient = algebra_from_name(doc["ambient"])
+    label, notes, name = doc.get("label"), doc.get("notes", ""), doc.get("ambient")
+    for field, value in (("label", label), ("notes", notes), ("ambient", name)):
+        if not isinstance(value, str):
+            raise ValueError(f"{field} must be a string, got {value!r}")
+    params = doc.get("params", {})
+    if not (isinstance(params, dict) and all(
+            type(v) is int for v in params.values())):
+        raise ValueError(f"params must be an object of integers, got {params!r}")
+    ambient = algebra_from_name(name)
     stored = doc.get("structure_constants")
     if stored is not None:
         try:
             c = dense_from_triplets(tuple(stored["shape"]), stored["triplets"])
-        except (TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"structure_constants: {exc}") from None
         if not np.array_equal(c, ambient.structure_constants):
             raise ValueError("stored structure constants do not match the "
-                             f"rebuilt ambient algebra {doc['ambient']}")
+                             f"rebuilt ambient algebra {name}")
 
     def array(field):
         try:
@@ -142,14 +164,14 @@ def space_from_document(doc: dict) -> HomogeneousSpace:
         return arr.reshape(0, ambient.dim) if arr.size == 0 else arr
 
     space = HomogeneousSpace(
-        label=doc["label"],
-        params=tuple((k, int(v)) for k, v in doc.get("params", {}).items()),
+        label=label,
+        params=tuple(params.items()),
         ambient=ambient,
         h_basis=array("h_basis"),
         p_basis=array("p_basis"),
         torus_generator=(None if doc.get("torus_generator") is None
                          else array("torus_generator")),
-        notes=doc.get("notes", ""),
+        notes=notes,
     )
     derived = {"dim_k": ambient.dim, "dim_h": space.dim_h, "dim_p": space.dim_p,
                "has_torus_generator": space.torus_generator is not None}
@@ -188,56 +210,18 @@ def metric_document(space: HomogeneousSpace, metric: np.ndarray,
     })
 
 
+def _finite_or_none(value):
+    return value if np.isfinite(value) else None
+
+
 def witness_document(w: PlaneWitness) -> dict:
-    return document("witness", {
-        "witness_kind": w.kind,
-        "found": w.found,
-        "objective": w.objective if np.isfinite(w.objective) else None,
-        "numerator": w.numerator,
-        "x": w.x,
-        "y": w.y,
-        "message": w.message,
-        "decided": w.decided,
-    })
-
-
-def parity_document(rp: RankParity) -> dict:
-    return document("rank-parity", {
-        "rank_ambient": rp.rank_ambient,
-        "rank_isotropy": rp.rank_isotropy,
-        "dim_p": rp.dim_p,
-        "difference": rp.difference,
-        "parity_consistent": rp.parity_consistent,
-    })
-
-
-def symmetrization_document(s: Sp2Symmetrization) -> dict:
-    return document("symmetrization", {
-        "psi": s.psi,
-        "residual": s.residual,
-        "det_involution": s.det_involution,
-        "metric": s.metric,
-    })
+    body = jsonable(w)
+    body["objective"] = _finite_or_none(body["objective"])
+    return document("witness", {"witness_kind": body.pop("kind"), **body})
 
 
 def certify_document(r: CertifyReport, provenance: str) -> dict:
-    return document("certify", {
-        "label": r.label,
-        "metric_provenance": provenance,
-        "verdict": r.verdict,
-        "min_sectional": r.min_sectional if np.isfinite(r.min_sectional) else None,
-        "plane_x": list(r.plane_x),
-        "plane_y": list(r.plane_y),
-        "start_minima": list(r.start_minima),
-        "converged_starts": r.converged_starts,
-        "stop_reasons": list(r.stop_reasons),
-        "starts": r.starts,
-        "max_iters": r.max_iters,
-        "grad_tol": r.grad_tol,
-        "zero_tol": r.zero_tol,
-        "zero_threshold": r.zero_threshold,
-        "seed": r.seed,
-        "disclaimer": r.disclaimer,
-        "draw_scheme": r.draw_scheme,
-        "wall_time": r.wall_time,
-    })
+    body = jsonable(r)
+    body["min_sectional"] = _finite_or_none(body["min_sectional"])
+    return document("certify", {"label": body.pop("label"),
+                                "metric_provenance": provenance, **body})

@@ -45,6 +45,8 @@ class HomogeneousSpace:
 
     # the checked (dim h, dim p, dim p) stack of ad_v on p, v in h_basis; read-only
     isotropy_actions: np.ndarray = field(init=False, compare=False, repr=False)
+    # [h, h] = 0 up to 1e-10, from the closure check's bracket
+    h_is_abelian: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         """Raise CatalogError unless the bases are 2-d and the torus generator
@@ -94,6 +96,8 @@ class HomogeneousSpace:
                                    f"lie in h (distance {distance:.3e})")
         acts.flags.writeable = False
         object.__setattr__(self, "isotropy_actions", acts)
+        object.__setattr__(self, "h_is_abelian",
+                           bool(np.max(np.abs(hb_br), initial=0.0) < 1e-10))
 
     @property
     def dim_h(self) -> int:

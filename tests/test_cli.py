@@ -143,6 +143,31 @@ def test_document_with_non_orthonormal_basis_is_a_load_error(tmp_path, command):
     assert "rows of h_basis and p_basis are not orthonormal" in error
 
 
+def _set(field, value):
+    def corrupt(doc):
+        doc[field] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set("params", [1, 2]), "params must be an object of integers, got [1, 2]"),
+    (_set("ambient", 5), "ambient must be a string, got 5"),
+    (_set("params", {"n": 2.7}), "params must be an object of integers, got {'n': 2.7}"),
+    (_set("label", 7), "label must be a string, got 7"),
+])
+def test_malformed_document_fields_are_load_errors(tmp_path, corrupt, message):
+    # each escaped as an AttributeError or loaded with a coerced value
+    path = tmp_path / "cpn.json"
+    assert run_cli("build", "cpn", "--n", "2", "--out", str(path)).returncode == 0
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    proc = run_cli("decompose", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc).startswith(f"cannot load space from {path}: {message}")
+
+
 def test_missing_required_param_is_rejected():
     proc = run_cli("build", "sp2circle")
     assert proc.returncode == 2
@@ -216,6 +241,16 @@ def test_curvature_rejects_bad_plane_files(tmp_path, first, message):
     assert proc.stdout == ""
     error = stderr_error(proc)
     assert error.startswith("--plane") and message in error
+
+
+@pytest.mark.parametrize("plane", [[1, 2], {"x": {"a": 1}, "y": [0, 1]}])
+def test_plane_files_of_the_wrong_shape_are_read_errors(tmp_path, plane):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(plane))
+    proc = run_cli("curvature", "cpn", "--n", "2", "--plane", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc).startswith(f"cannot read plane from {path}: ")
 
 
 def test_obstruct_fires_on_nonpositive_sample():

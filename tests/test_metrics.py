@@ -207,6 +207,8 @@ def test_metric_from_spec_matches_the_constructors(tmp_path):
     ("diag:1,x,2", "bad diagonal metric spec"),
     ("diag:1,2", "one scale per component"),
     ("diag:1,-2,3", "positive"),
+    ("diag:1,nan,2", "finite"),
+    ("diag:1,inf,2", "finite"),
     ("sample:two", "bad sample metric spec"),
     ("sample:-1", "bad sample metric spec"),
     ("file:g.json", "cannot read metric from g.json"),

@@ -1,4 +1,5 @@
 """Document serialization and bit-exact round-trips."""
+import dataclasses
 import json
 import os
 
@@ -6,17 +7,22 @@ import numpy as np
 import pytest
 
 from homcurv import catalog_build
-from homcurv.certify import STOP_REASONS, certify
+from homcurv.acceptance import CriterionResult
+from homcurv.certify import STOP_REASONS, CertifyReport, certify
+from homcurv.cli import main
 from homcurv.metrics import normal_metric
+from homcurv.obstructions import PlaneWitness, RankParity, Sp2Symmetrization
 from homcurv.serialize import (
     atomic_write_json,
     certify_document,
     dense_from_triplets,
+    encode,
     jsonable,
     load_json,
     space_document,
     space_from_document,
     sparse_triplets,
+    witness_document,
 )
 
 
@@ -152,11 +158,26 @@ def _corrupt_shape(doc):
     doc["structure_constants"]["shape"] = [5, 5]
 
 
+def _set(field, value):
+    def corrupt(doc):
+        doc[field] = value(doc) if callable(value) else value
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt,field", [
     (_corrupt_index, "structure_constants: a triplet has a non-finite value or an index"),
     (_corrupt_arity, "structure_constants: each triplet must hold 3 indices"),
     (_corrupt_basis, "h_basis has a non-finite entry"),
     (_corrupt_shape, "structure_constants: each triplet must hold 2 indices"),
+    # loaded, these escaped as an AttributeError or were coerced silently
+    (_set("params", [1, 2]), r"params must be an object of integers, got \[1, 2\]"),
+    (_set("params", {"n": 2.7}), "params must be an object of integers, got {'n': 2.7}"),
+    (_set("params", {"n": "3"}), "params must be an object of integers, got {'n': '3'}"),
+    (_set("params", {"n": True}), "params must be an object of integers, got {'n': True}"),
+    (_set("ambient", 5), "ambient must be a string, got 5"),
+    (_set("label", 7), "label must be a string, got 7"),
+    (_set("notes", None), "notes must be a string, got None"),
+    (_set("structure_constants", {"triplets": []}), "structure_constants: 'shape'"),
 ])
 def test_malformed_document_is_a_value_error_naming_the_field(corrupt, field):
     doc = load_json(os.path.join(DATA, "wallach6.json"))
@@ -181,12 +202,6 @@ def _torus_off_h(doc):
 def _shorten_rows(field):
     def corrupt(doc):
         doc[field] = [row[:-1] for row in doc[field]]
-    return corrupt
-
-
-def _set(field, value):
-    def corrupt(doc):
-        doc[field] = value(doc) if callable(value) else value
     return corrupt
 
 
@@ -228,3 +243,73 @@ def test_dense_from_triplets_rejects_fractional_and_non_finite_rows():
     with pytest.raises(ValueError, match="non-finite value"):
         dense_from_triplets((2, 2), [[0, 1, float("nan")]])
     assert dense_from_triplets((2, 2), []).shape == (2, 2)
+
+
+def test_a_document_that_is_not_an_object_is_rejected():
+    with pytest.raises(ValueError, match="a space document is a JSON object"):
+        space_from_document([1, 2])
+
+
+def _with_provenance(names):
+    return [names[0], "metric_provenance", *names[1:]]
+
+
+def _renamed_kind(names):
+    return ["witness_kind" if n == "kind" else n for n in names]
+
+
+def _checks(name):
+    return lambda doc: doc["checks"][name]
+
+
+def _witness(found):
+    def pick(doc):
+        w = doc["checks"]["min-eigenvalue"]
+        assert w["found"] is found
+        return w
+    return pick
+
+
+@pytest.mark.parametrize("argv, pick, report, expected", [
+    (["certify", "wallach6", "--starts", "4"], None, CertifyReport,
+     _with_provenance),
+    (["obstruct", "stiefel", "--metric", "sample:1", "--check",
+      "min-eigenvalue"], _witness(True), PlaneWitness, _renamed_kind),
+    (["obstruct", "sphere-su", "--n", "2", "--metric", "sample:0", "--check",
+      "min-eigenvalue"], _witness(False), PlaneWitness, _renamed_kind),
+    (["obstruct", "berger7", "--check", "rank"], lambda doc: doc["rank"],
+     RankParity, None),
+    (["obstruct", "sp2circle", "--p", "3", "--q", "1", "--check", "symmetrize"],
+     _checks("symmetrize"), Sp2Symmetrization, None),
+    (["suite", "--only", "05-"], lambda doc: doc["criteria"][0],
+     CriterionResult, None),
+], ids=["certify", "witness-found", "witness-not-found", "rank-parity",
+        "symmetrization", "suite-criterion"])
+def test_a_reports_document_is_its_fields_in_order(tmp_path, argv, pick,
+                                                    report, expected):
+    path = tmp_path / "doc.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    doc = load_json(str(path))
+    if pick is not None:
+        doc = pick(doc)
+    names = [f.name for f in dataclasses.fields(report)]
+    if expected is not None:
+        names = expected(names)
+    # a suite criterion sits inside the suite document, without the tags
+    tags = [] if report is CriterionResult else ["schema_version", "kind"]
+    assert list(doc) == tags + names
+
+
+def test_only_the_minimum_and_the_objective_may_be_null():
+    space = catalog_build("berger7")
+    r = certify(space, normal_metric(space), starts=2, max_iters=5)
+    inf = dataclasses.replace(r, min_sectional=float("inf"))
+    assert json.loads(encode(certify_document(inf, "normal")))["min_sectional"] is None
+    with pytest.raises(ValueError, match="Out of range float"):
+        encode(certify_document(dataclasses.replace(r, zero_threshold=float("nan")),
+                                "normal"))
+    w = PlaneWitness(kind="commuting", found=False, objective=float("inf"),
+                     numerator=None, x=None, y=None, message="", decided="exact")
+    assert json.loads(encode(witness_document(w)))["objective"] is None
+    with pytest.raises(ValueError, match="Out of range float"):
+        encode(witness_document(dataclasses.replace(w, numerator=float("nan"))))

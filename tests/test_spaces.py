@@ -274,6 +274,19 @@ def test_isotropy_actions_are_read_only_and_rebuilt_by_replace():
     assert not np.allclose(rotated.isotropy_actions, acts, atol=1e-3)
 
 
+def test_h_is_abelian_is_read_from_the_closure_bracket():
+    for label in catalog_labels():
+        space = catalog_build(label, **listing_params(label))
+        hb = space.h_basis
+        br = bracket(space.ambient, hb[:, None], hb[None])
+        assert space.h_is_abelian is bool(np.max(np.abs(br), initial=0.0) < 1e-10)
+    assert catalog_build("sphere-so", n=1).h_is_abelian      # dim h = 0
+    berger = catalog_build("berger7")
+    assert not berger.h_is_abelian
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        berger.h_is_abelian = True
+
+
 def test_make_space_rejects_non_finite_seed():
     alg = build_algebra("so", 5)
     e12 = np.zeros((5, 5), dtype=complex)
