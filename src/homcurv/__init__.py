@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .algebra import (
     LieAlgebra,
     MatrixRealization,
-    GroupElement,
     build_algebra,
     direct_sum,
     bracket,
@@ -25,4 +24,5 @@ from .spaces import (
     catalog_build,
     catalog_entries,
     fixed_subalgebra_in_h,
+    restriction,
 )

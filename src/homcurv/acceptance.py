@@ -2,7 +2,8 @@
 
 Each criterion is a standalone function returning (passed, detail).  The
 registry pairs it with a wall-clock budget in seconds (None when untimed);
-`run_one` times the function and fails the criterion when it overruns.
+`run_one` times the function and fails the criterion when it overruns,
+the one case where it adds to the criterion's detail.
 The CLI `suite` subcommand and the acceptance tests both drive this module,
 so there is a single source of truth for what "green" means.
 
@@ -309,11 +310,9 @@ def run_one(name: str) -> CriterionResult:
     except Exception as exc:              # a crashed criterion is a failure
         passed, detail = False, f"error: {type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
-    if budget is not None:
-        detail += f"; {elapsed:.1f}s of {budget:.0f}s budget"
-        passed = passed and elapsed < budget
-    else:
-        detail += f"; {elapsed:.1f}s"
+    if budget is not None and elapsed >= budget:
+        passed = False
+        detail += f"; over budget: {elapsed:.1f}s of {budget:.0f}s"
     return CriterionResult(name, bool(passed), detail, elapsed, budget)
 
 

@@ -266,15 +266,9 @@ def rank(alg: LieAlgebra, basis: np.ndarray | None = None) -> int:
     return dim - int(ranks.max())
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A group element acting on the algebra through conjugation."""
-    matrix: np.ndarray          # (m, m) complex
-    ad: np.ndarray              # (dim, dim) real, Ad in the orthonormal basis
-
-
-def group_element(alg: LieAlgebra, mat: np.ndarray) -> GroupElement:
-    """Build Ad of `mat`; fails if conjugation leaves the algebra."""
+def group_element(alg: LieAlgebra, mat: np.ndarray) -> np.ndarray:
+    """The (dim, dim) matrix of Ad of `mat` in the orthonormal basis; fails
+    if conjugation leaves the algebra or Ad is not orthogonal."""
     mat = np.asarray(mat, dtype=complex)
     m = alg.realization.matrix_size
     if mat.shape != (m, m):
@@ -292,14 +286,14 @@ def group_element(alg: LieAlgebra, mat: np.ndarray) -> GroupElement:
         ortho = np.linalg.norm(ad.T @ ad - np.eye(alg.dim))
         if ortho > 1e-8:
             raise ValueError(f"Ad of the given matrix is not orthogonal: {ortho:.3e}")
-    return GroupElement(matrix=mat, ad=ad)
+    return ad
 
 
-def centralizer_subalgebra(alg: LieAlgebra, g: GroupElement) -> np.ndarray:
-    """Orthonormal basis (rows) of the fixed space of Ad_g."""
+def centralizer_subalgebra(alg: LieAlgebra, ad: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the fixed space of the Ad matrix `ad`."""
     if alg.dim == 0:
         return np.zeros((0, 0))
-    return nullspace(g.ad - np.eye(alg.dim), rtol=1e-9)
+    return nullspace(ad - np.eye(alg.dim), rtol=1e-9)
 
 
 def jacobi_residual(alg: LieAlgebra) -> float:

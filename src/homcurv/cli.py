@@ -288,8 +288,8 @@ def _cmd_suite(args) -> int:
     results = []
     for r in selected:
         results.append(r)
-        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name} ({r.detail})",
-              flush=True)
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name} ({r.detail}; "
+              f"{r.elapsed:.1f}s)", flush=True)
     failed = sum(1 for r in results if not r.passed)
     print(f"{len(results) - failed}/{len(results)} acceptance criteria passed")
     if args.output:

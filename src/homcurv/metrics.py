@@ -3,7 +3,7 @@
 A metric is a symmetric positive definite matrix on p-coordinates commuting
 with every isotropy action.  Constructors cover the normal metric, diagonal
 rescalings of isotypic components, seeded random draws from the interior of
-the cone, and pullback along a normalizing group element.
+the cone, and pullback along the Ad matrix of a normalizing group element.
 """
 from __future__ import annotations
 
@@ -11,14 +11,13 @@ import json
 
 import numpy as np
 
-from .algebra import GroupElement
 from .isotypic import (
     IsotypicDecomposition,
     decompose,
     symmetric_commutant_basis,
 )
 from .numerics import rng_from
-from .spaces import HomogeneousSpace
+from .spaces import HomogeneousSpace, restriction
 
 
 def normal_metric(space: HomogeneousSpace) -> np.ndarray:
@@ -109,15 +108,10 @@ def metric_from_spec(space: HomogeneousSpace, spec: str) -> np.ndarray:
 
 
 def conjugate_metric(space: HomogeneousSpace, metric: np.ndarray,
-                     g: GroupElement) -> np.ndarray:
-    """Pullback of the metric along the adjoint action of a normalizing element."""
-    img = g.ad @ space.p_basis.T
-    a = space.p_basis @ img
-    leak = np.linalg.norm(img - space.p_basis.T @ a)
-    if leak > 1e-9:
-        raise ValueError(
-            f"group element does not preserve p (leak {leak:.3e}); "
-            "it must normalize the isotropy subgroup")
+                     ad: np.ndarray) -> np.ndarray:
+    """Pullback of the metric along the Ad matrix `ad` of a normalizing element."""
+    a = restriction(ad, space.p_basis, "group element does not preserve p; "
+                    "it must normalize the isotropy subgroup")
     return a @ metric @ a.T
 
 

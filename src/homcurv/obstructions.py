@@ -17,8 +17,13 @@ regardless of the metric.
 
 The quotient of the rank-two symplectic group by its (3, 1) circle carries an
 extra involution-type normalizer element; `symmetrize_sp2_31` conjugates any
-invariant metric into the form fixed by it, which is where the witness planes
-of that space become visible.
+invariant metric into the form fixed by it, with one Ad matrix of a phase
+element, which is where the witness planes of that space become visible.
+
+Every tolerance that meets the metric is relative to its scale: eigenspaces
+are clustered on eigenvalues divided by the largest, and the min-eigenvalue
+plane's numerator is bounded by NONPOS_TOL·λ_max(G), so G and λG get the
+same verdicts.
 """
 from __future__ import annotations
 
@@ -31,6 +36,7 @@ import numpy as np
 from .algebra import (
     ad_operator,
     bracket,
+    coords_of,
     group_element,
     quaternion_to_complex,
     rank,
@@ -39,11 +45,11 @@ from .certify import FAILED, _descend
 from .curvature import PlaneForm, four_term_numerator, pair_tables
 from .metrics import conjugate_metric
 from .numerics import cluster_values, kernel_and_gap, nullspace, rng_from
-from .spaces import HomogeneousSpace
+from .spaces import HomogeneousSpace, restriction
 
 ACCEPT = 1e-9       # bracket ratio below this certifies a commuting pair
 REJECT = 1e-6       # objective above this means no pair at these starts
-NONPOS_TOL = 1e-10  # numerator bound for the min-eigenvalue plane
+NONPOS_TOL = 1e-10  # numerator bound for the min-eigenvalue plane, times λ_max(G)
 SEARCH_ITERS = 300  # descent limit of the witness searches
 
 # The quadratic forms whose zeros are the rank-one 2 x 2 coefficient blocks
@@ -119,10 +125,11 @@ def minimize(*args, **kwargs):
 
 def _metric_eigenspaces(metric: np.ndarray):
     """The metric's eigenvalue clusters and eigenspace rows, cut at every gap
-    that eigh resolves (the guard band serves `isotypic.decompose`)."""
+    that eigh resolves relative to the largest eigenvalue (the guard band
+    serves `isotypic.decompose`)."""
     vals, vecs = np.linalg.eigh(metric)
     return [(float(np.mean(vals[idx])), vecs[:, idx].T.copy())
-            for idx in cluster_values(vals, guard=1.0)]
+            for idx in cluster_values(vals / vals[-1], guard=1.0)]
 
 
 def _pair_plane(w: np.ndarray, bx: np.ndarray, by: np.ndarray, same: bool):
@@ -290,13 +297,15 @@ def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
     """Witness plane built from the smallest metric eigenvalue.
 
     Finds x in the bottom eigenspace E_0 and z in p with [x, z] = 0, then
-    checks that the plane (x, G^-1 z) has numerator at most 1e-10.  The
-    pair comes from the block decision of `_find_pair`: one block (v, v^⊥)
-    per basis vector v of E_0, with v^⊥ the orthogonal complement of v in p,
-    is decided exactly, and when dim E_0 > 1 the block (E_0, p) is searched
-    by a batched multistart descent of |[x, z]|² / Gram with x kept in E_0.
+    checks that the plane (x, G^-1 z) has numerator at most 1e-10·λ_max(G).
+    The pair comes from the block decision of `_find_pair`: one block
+    (v, v^⊥) per basis vector v of E_0, with v^⊥ the orthogonal complement of
+    v in p, is decided exactly, and when dim E_0 > 1 the block (E_0, p) is
+    searched by a batched multistart descent of |[x, z]|² / Gram with x kept
+    in E_0.
     """
-    lam, bottom = _metric_eigenspaces(metric)[0]
+    eig = _metric_eigenspaces(metric)
+    lam, bottom = eig[0]
     blocks = [(v[None], nullspace(v[None]), False, (seed, k))
               for k, v in enumerate(bottom)]
     if len(bottom) > 1:
@@ -314,13 +323,14 @@ def min_eigenvalue_witness(space: HomogeneousSpace, metric: np.ndarray,
     y = metric_inv @ z
     y /= np.linalg.norm(y)
     num = four_term_numerator(space, metric, metric_inv, x, y)
-    found = bool(num <= NONPOS_TOL)
+    bound = NONPOS_TOL * eig[-1][0]
+    found = bool(num <= bound)
     return PlaneWitness(
         kind="min-eigenvalue", found=found, objective=float(objective),
         numerator=num, x=x, y=y, decided=decided,
         message=(f"nonpositive plane at the bottom eigenvalue {lam:.6g}"
                  if found else f"commuting partner found but numerator "
-                 f"{num:.3e} exceeds {NONPOS_TOL}"))
+                 f"{num:.3e} exceeds {bound:.3e}"))
 
 
 def rank_parity_check(space: HomogeneousSpace) -> RankParity:
@@ -338,22 +348,18 @@ def symmetrize_sp2_31(space: HomogeneousSpace,
     """Conjugate a metric on the (3, 1) circle quotient into symmetric form.
 
     The normalizer element a = diag(j, j) flips the circle and acts on p with
-    determinant -1.  Conjugating by a diagonal phase element b makes the
-    metric's off-diagonal phase on the 4-dimensional weight-2 component real,
-    after which the metric commutes with the action of a.
+    determinant -1.  One conjugation by the diagonal phase element b(ψ), ψ
+    half the metric's off-diagonal phase φ on the 4-dimensional weight-2
+    component, makes that phase real, after which the metric commutes with
+    the action of a.  The cut on that phase's modulus and the bound on the
+    residual are relative to ‖G‖₂, so G and λG give the same ψ.
     """
     if space.label != "sp2circle" or dict(space.params) != {"p": 3, "q": 1}:
         raise ValueError("symmetrization applies to the (3, 1) circle "
                          "quotient of the rank-two symplectic group only")
-    from .algebra import coords_of
-
     alg = space.ambient
-    a_mat = quaternion_to_complex(np.zeros((2, 2)), np.eye(2))
-    ga = group_element(alg, a_mat)
-    img = ga.ad @ space.p_basis.T
-    aa = space.p_basis @ img
-    if np.linalg.norm(img - space.p_basis.T @ aa) > 1e-9:
-        raise RuntimeError("involution does not preserve p")
+    a_ad = group_element(alg, quaternion_to_complex(np.zeros((2, 2)), np.eye(2)))
+    aa = restriction(a_ad, space.p_basis, "involution does not preserve p")
     det_a = float(np.linalg.det(aa))
 
     # the circle acts on p with weights 0, 2, 4 and 6, so the weight-2
@@ -371,20 +377,15 @@ def symmetrize_sp2_31(space: HomogeneousSpace,
         raise RuntimeError("reference vectors left the weight-2 component")
 
     jmat = t_act / 2.0
+    scale = np.linalg.norm(metric, 2)
     h12 = complex(f1 @ metric @ f2, f1 @ metric @ (jmat @ f2))
-    phi = float(np.angle(h12)) if abs(h12) > 1e-14 else 0.0
-
-    best = None
-    for psi in (phi / 2, -phi / 2, phi / 2 + np.pi / 2, -phi / 2 + np.pi / 2):
-        phase = np.exp(1j * psi)
-        b_mat = np.diag([phase, phase, phase.conjugate(), phase.conjugate()])
-        gb = group_element(alg, b_mat)
-        conj = conjugate_metric(space, metric, gb)
-        r = float(np.max(np.abs(conj @ aa - aa @ conj)))
-        if best is None or r < best[1]:
-            best = (psi, r, conj)
-    psi, residual, conj = best
-    if residual > 1e-8:
+    psi = float(np.angle(h12)) / 2 if abs(h12) > 1e-14 * scale else 0.0
+    # ψ + π/2 works as well: b(π/2) = diag(i, i) only flips the sign of a
+    phase = np.exp(1j * psi)
+    conj = conjugate_metric(space, metric, group_element(
+        alg, np.diag([phase, phase, phase.conjugate(), phase.conjugate()])))
+    residual = float(np.max(np.abs(conj @ aa - aa @ conj)))
+    if residual > 1e-8 * scale:
         raise RuntimeError(f"symmetrization failed (residual {residual:.3e})")
     return Sp2Symmetrization(psi=psi, residual=residual, det_involution=det_a,
                              metric=conj)

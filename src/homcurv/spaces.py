@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    GroupElement,
     LieAlgebra,
     ad_operator,
     bracket,
@@ -144,16 +143,25 @@ def make_space(label: str, ambient: LieAlgebra, h_matrices: list[np.ndarray],
     )
 
 
-def fixed_subalgebra_in_h(space: HomogeneousSpace, g: GroupElement) -> np.ndarray:
-    """Orthonormal basis (ambient coordinate rows) of the Ad_g-fixed part of h."""
+def restriction(ad: np.ndarray, basis: np.ndarray, what: str) -> np.ndarray:
+    """The ambient map `ad` restricted to the span of the orthonormal rows
+    `basis`, in those coordinates; ValueError naming `what` when the image
+    leaks out of the span by more than 1e-9."""
+    img = ad @ basis.T
+    restr = basis @ img
+    leak = np.linalg.norm(img - basis.T @ restr)
+    if leak > 1e-9:
+        raise ValueError(f"{what} (leak {leak:.3e})")
+    return restr
+
+
+def fixed_subalgebra_in_h(space: HomogeneousSpace, ad: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (ambient coordinate rows) of the part of h fixed by
+    the Ad matrix `ad`."""
     if space.dim_h == 0:
         return np.zeros((0, space.ambient.dim))
-    img = g.ad @ space.h_basis.T              # images of the h-basis
-    restr = space.h_basis @ img
-    leak = np.linalg.norm(img - space.h_basis.T @ restr)
-    if leak > 1e-9:
-        raise ValueError(
-            f"group element does not normalize h of {space.label} (leak {leak:.3e})")
+    restr = restriction(ad, space.h_basis,
+                        f"group element does not normalize h of {space.label}")
     fixed = nullspace(restr - np.eye(space.dim_h), rtol=1e-9)
     return fixed @ space.h_basis
 
@@ -260,7 +268,7 @@ def _build_sphere_u(n: int) -> tuple:
 
 def _build_sphere_sp(n: int) -> tuple:
     return (build_algebra("sp", n + 1), _corner_seeds("sp", n), None,
-            f"sphere S^{4 * n + 3}; kernel trivial; N(H)/H = S3")
+            f"sphere S^{4 * n + 3}; kernel trivial; N(H)/H = Sp(1)")
 
 
 def _build_sphere_spsp1(n: int) -> tuple:
@@ -319,12 +327,12 @@ def _build_w11() -> tuple:
 
 def _build_wallach6() -> tuple:
     return (build_algebra("su", 3), [_idiag(1, -1, 0), _idiag(0, 1, -1)], None,
-            "6-dim flag; kernel Z3; N(H)/H = S3")
+            "6-dim flag; kernel Z3; N(H)/H = Sym(3)")
 
 
 def _build_wallach12() -> tuple:
     h = sum((_sp_slot_quaternions(3, k) for k in range(3)), [])
-    return build_algebra("sp", 3), h, None, "12-dim flag; kernel Z2; N(H)/H = S3"
+    return build_algebra("sp", 3), h, None, "12-dim flag; kernel Z2; N(H)/H = Sym(3)"
 
 
 def _su3_over_circle(p: int, q: int) -> tuple:

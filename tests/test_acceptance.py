@@ -91,3 +91,15 @@ def test_selection_without_a_match_fails_before_any_criterion_runs(
                        "'zzz,yyy'; known: 01-algebra-invariants, "):
         acceptance.run_all("zzz,yyy")
     assert ran == []
+
+
+def test_detail_is_the_criteria_own():
+    # the elapsed time is its own field, not part of the detail
+    assert run_one("05-rank-parity").detail == acceptance._check_rank_parity()[1]
+
+
+def test_a_budget_overrun_fails_and_says_so(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", [("x", lambda: (True, "ok"), 0.0)])
+    result = run_one("x")
+    assert not result.passed
+    assert result.detail.startswith("ok; over budget: ")

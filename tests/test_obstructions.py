@@ -261,6 +261,31 @@ def test_symmetrize_rejects_other_spaces():
         symmetrize_sp2_31(space, normal_metric(space))
 
 
+@pytest.mark.parametrize("label,params", [
+    ("wallach6", {}), ("aloffwallach-u3", {"p": 1, "q": 1}), ("stiefel", {}),
+    ("su3circle", {"p": 1, "q": 0})])
+@pytest.mark.parametrize("scale", [1e-15, 1e-11, 1e-8, 1e8])
+def test_witness_verdicts_do_not_depend_on_the_scale_of_g(label, params, scale):
+    space = catalog_build(label, **params)
+    for seed in (0, 1):
+        g = sample_metric(space, seed=seed)
+        for witness in (commuting_witness, min_eigenvalue_witness):
+            ref, w = witness(space, g), witness(space, scale * g)
+            assert (w.found, w.decided) == (ref.found, ref.decided), (seed, witness)
+
+
+def test_symmetrize_phase_does_not_depend_on_the_scale_of_g():
+    space = catalog_build("sp2circle", p=3, q=1)
+    for seed in range(3):
+        g = sample_metric(space, seed=seed)
+        psi = symmetrize_sp2_31(space, g).psi
+        assert -np.pi / 2 < psi <= np.pi / 2
+        for scale in (1e-15, 1e8):
+            s = symmetrize_sp2_31(space, scale * g)
+            assert abs(s.psi - psi) <= 1e-12, (seed, scale)
+            assert s.residual <= 1e-14 * scale
+
+
 NO_SCIPY_OPTIMIZE = textwrap.dedent("""
     import sys
     import homcurv.cli, homcurv.acceptance

@@ -16,6 +16,7 @@ from homcurv import (
     fixed_subalgebra_in_h,
     group_element,
     make_space,
+    restriction,
 )
 from homcurv.spaces import listing_params
 
@@ -316,3 +317,16 @@ def test_fixed_subalgebra_rejects_non_normalizing():
     g = group_element(space.ambient, rot)
     with pytest.raises(ValueError):
         fixed_subalgebra_in_h(space, g)
+
+
+def test_restriction_names_what_leaks():
+    space = catalog_build("wallach6")
+    c = 1 / np.sqrt(2.0)
+    rot = np.array([[c, -c, 0], [c, c, 0], [0, 0, 1]], dtype=complex)
+    with pytest.raises(ValueError, match=r"^p is left \(leak \d\.\d{3}e[+-]\d+\)$"):
+        restriction(group_element(space.ambient, rot), space.p_basis, "p is left")
+    # a normalizing element restricts to an orthogonal map of p
+    cyc = np.zeros((3, 3), dtype=complex)
+    cyc[1, 0] = cyc[2, 1] = cyc[0, 2] = 1
+    a = restriction(group_element(space.ambient, cyc), space.p_basis, "p is left")
+    assert np.allclose(a.T @ a, np.eye(space.dim_p), atol=1e-12)
